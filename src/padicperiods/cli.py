@@ -97,6 +97,13 @@ def cmd_correspond(args):
         n = X.nrows
         report["n"] = n
         report["source"] = {"matrix": args.matrix}
+        try:
+            pm = periods.from_matrix(X)
+        except periods.RankCertificationError as exc:
+            report["rank_rejected"] = {"kind": exc.kind}
+            report["pass"] = False
+            _emit(report, args.pretty)
+            return EXIT_RANK_REJECTED
     else:
         m = args.m
         if m is None or n is None:
@@ -117,14 +124,6 @@ def cmd_correspond(args):
         except PrecisionError as exc:
             print(f"correspond: {exc}", file=sys.stderr)
             return EXIT_INDETERMINATE
-        X = pm.X
-    try:
-        pm = periods.from_matrix(X)
-    except periods.RankCertificationError as exc:
-        report["rank_rejected"] = {"kind": exc.kind}
-        report["pass"] = False
-        _emit(report, args.pretty)
-        return EXIT_RANK_REJECTED
     pt = periods.correspond(pm)
     fg, fh = periods.fil_G(pm), periods.fil_H(pm)
     fg_t, fh_t = periods.fil_G(pt), periods.fil_H(pt)
@@ -133,7 +132,7 @@ def cmd_correspond(args):
         fh_t, fg
     )
     omega_X = periods.omega_membership(fg)
-    omega_tX = periods.omega_membership(periods.fil_G(pt))
+    omega_tX = periods.omega_membership(fg_t)
     report.update(
         {
             "matrix": matrix_to_json(pm.X),

@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+from .ledger import _frac_str
 
 
 @dataclass
@@ -198,6 +196,8 @@ def lubin_tate_log(p, h, D) -> PowerSeriesTrunc:
     """f(T) = sum_{n >= 0} T^{p^{nh}} / p^n, truncated at degree D."""
     if D < 1:
         raise ValueError("D must be >= 1")
+    if p < 2 or h < 1:
+        raise ValueError("need p >= 2 and h >= 1")
     coeffs = [Fraction(0)] * (D + 1)
     n = 0
     while p ** (n * h) <= D:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+from .padic import _is_prime
+
 
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
@@ -61,19 +63,12 @@ def _val(x):
 
 @dataclass
 class HeightLedger:
-    """Heights of the two quasi-isogenies and the connecting isogeny.
-
-    ``degree`` is [F:Q_p]; normalized heights divide by it (always 1 here).
-    """
+    """Heights of the two quasi-isogenies and the connecting isogeny."""
 
     n: int
     ht_rho_H: int
     ht_rho_G: int
     ht_Delta: int
-    degree: int = 1
-
-    def normalized(self, ht):
-        return Fraction(ht, self.degree)
 
 
 @dataclass
@@ -90,6 +85,8 @@ class CMDatum:
     a: list = dc_field(default_factory=list)
 
     def __post_init__(self):
+        if not _is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
         if not (0 <= self.i_0 < self.h):
             raise ValueError("critical index out of range")
         if not self.a:

@@ -204,10 +204,6 @@ class FieldDescriptor:
     frobenius_image: tuple
     precision: int
 
-    @property
-    def degree(self):
-        return self.m
-
     def zero(self, precision=None):
         N = self.precision if precision is None else precision
         return PadicElement(self, (0,) * self.m, 0, N)
@@ -447,7 +443,7 @@ class PadicElement:
             return other
         if isinstance(other, int):
             return self.field.from_int(other, self.abs_precision)
-        return NotImplemented
+        raise TypeError(f"cannot combine PadicElement with {type(other).__name__}")
 
     # -- structure maps ---------------------------------------------------
 
@@ -484,10 +480,7 @@ class PadicElement:
 
     def __eq__(self, other):
         if isinstance(other, (PadicElement, int)):
-            o = self._coerce(other)
-            if o is NotImplemented:
-                return NotImplemented
-            return self.approx_equal(o)
+            return self.approx_equal(other)
         return NotImplemented
 
     def __hash__(self):  # pragma: no cover
@@ -649,9 +642,6 @@ class PadicMatrix:
         i, j = ij
         return self.rows[i][j]
 
-    def copy(self):
-        return PadicMatrix(self.field, self.rows)
-
     def transpose(self):
         return PadicMatrix(self.field, list(map(list, zip(*self.rows))))
 
@@ -700,9 +690,6 @@ class PadicMatrix:
     def is_zero_at_precision(self):
         return all(e.is_zero_at_precision() for r in self.rows for e in r)
 
-    def submatrix(self, rows, cols):
-        return PadicMatrix(self.field, [[self.rows[i][j] for j in cols] for i in rows])
-
     def __repr__(self):  # pragma: no cover
         return "PadicMatrix([\n  " + ",\n  ".join(str(r) for r in self.rows) + "\n])"
 
@@ -712,7 +699,7 @@ class PadicMatrix:
         return smith_form(self)
 
     def elementary_divisors(self):
-        return smith_form(self).divisors
+        return _reduce(self, False)[0]
 
     def inverse(self):
         n = self.nrows
@@ -764,16 +751,23 @@ class SmithForm:
     rank: int
 
 
-def smith_form(M: PadicMatrix) -> SmithForm:
-    """Smith-style reduction with minimal-valuation pivoting."""
+def _reduce(M: PadicMatrix, track: bool):
+    """Smith-style reduction with minimal-valuation pivoting.
+
+    Returns (divisors, pivots, transforms).  ``transforms`` is the tuple
+    (L, Linv, R, Rinv) when ``track`` is true and None otherwise; the pivot
+    choice and every update of the working matrix are the same either way,
+    so the divisors (AtLeast markers included) do not depend on ``track``.
+    """
     f = M.field
     r, c = M.nrows, M.ncols
     N = M.precision
     work = [row[:] for row in M.rows]
-    L = PadicMatrix.identity(f, r, N)
-    Linv = PadicMatrix.identity(f, r, N)
-    R = PadicMatrix.identity(f, c, N)
-    Rinv = PadicMatrix.identity(f, c, N)
+    if track:
+        L = PadicMatrix.identity(f, r, N)
+        Linv = PadicMatrix.identity(f, r, N)
+        R = PadicMatrix.identity(f, c, N)
+        Rinv = PadicMatrix.identity(f, c, N)
     divisors, pivots = [], []
     k = 0
     while k < min(r, c):
@@ -788,15 +782,17 @@ def smith_form(M: PadicMatrix) -> SmithForm:
         v, bi, bj = best
         if bi != k:
             work[k], work[bi] = work[bi], work[k]
-            L.rows[k], L.rows[bi] = L.rows[bi], L.rows[k]
-            for row in Linv.rows:
-                row[k], row[bi] = row[bi], row[k]
+            if track:
+                L.rows[k], L.rows[bi] = L.rows[bi], L.rows[k]
+                for row in Linv.rows:
+                    row[k], row[bi] = row[bi], row[k]
         if bj != k:
             for row in work:
                 row[k], row[bj] = row[bj], row[k]
-            for row in R.rows:
-                row[k], row[bj] = row[bj], row[k]
-            Rinv.rows[k], Rinv.rows[bj] = Rinv.rows[bj], Rinv.rows[k]
+            if track:
+                for row in R.rows:
+                    row[k], row[bj] = row[bj], row[k]
+                Rinv.rows[k], Rinv.rows[bj] = Rinv.rows[bj], Rinv.rows[k]
         pivot = work[k][k]
         for i in range(k + 1, r):
             e = work[i][k]
@@ -805,9 +801,10 @@ def smith_form(M: PadicMatrix) -> SmithForm:
             fct = e / pivot
             for j in range(k, c):
                 work[i][j] = work[i][j] - fct * work[k][j]
-            for j in range(r):
-                L.rows[i][j] = L.rows[i][j] - fct * L.rows[k][j]
-                Linv.rows[j][k] = Linv.rows[j][k] + fct * Linv.rows[j][i]
+            if track:
+                for j in range(r):
+                    L.rows[i][j] = L.rows[i][j] - fct * L.rows[k][j]
+                    Linv.rows[j][k] = Linv.rows[j][k] + fct * Linv.rows[j][i]
         for j in range(k + 1, c):
             e = work[k][j]
             if e.is_zero_at_precision():
@@ -815,26 +812,38 @@ def smith_form(M: PadicMatrix) -> SmithForm:
             fct = e / pivot
             for i in range(r):
                 work[i][j] = work[i][j] - work[i][k] * fct
-            for i in range(c):
-                R.rows[i][j] = R.rows[i][j] - R.rows[i][k] * fct
-            for jj in range(c):
-                Rinv.rows[k][jj] = Rinv.rows[k][jj] + fct * Rinv.rows[j][jj]
+            if track:
+                for i in range(c):
+                    R.rows[i][j] = R.rows[i][j] - R.rows[i][k] * fct
+                for jj in range(c):
+                    Rinv.rows[k][jj] = Rinv.rows[k][jj] + fct * Rinv.rows[j][jj]
         divisors.append(v)
         pivots.append(pivot)
         k += 1
-    rank = k
-    rest_prec = N
     for _ in range(min(r, c) - k):
-        divisors.append(AtLeast(rest_prec))
-    return SmithForm(divisors, pivots, L, Linv, R, Rinv, rank)
+        divisors.append(AtLeast(N))
+    return divisors, pivots, (L, Linv, R, Rinv) if track else None
+
+
+def smith_form(M: PadicMatrix) -> SmithForm:
+    """Smith-style reduction with minimal-valuation pivoting and transforms."""
+    divisors, pivots, (L, Linv, R, Rinv) = _reduce(M, True)
+    return SmithForm(divisors, pivots, L, Linv, R, Rinv, len(pivots))
+
+
+def rank_below(divisors, threshold):
+    """Number of divisors certified exact and below ``threshold``."""
+    return sum(1 for d in divisors if is_exact(d) and d < threshold)
 
 
 def certified_rank(M: PadicMatrix, threshold=None):
-    """(rank, divisor valuations); rank counts divisors certified below threshold."""
-    sf = smith_form(M)
+    """(rank, divisor valuations); rank counts divisors certified below threshold.
+
+    Runs the reduction without building the transforms.
+    """
+    divisors = _reduce(M, False)[0]
     thr = M.precision if threshold is None else threshold
-    rank = sum(1 for d in sf.divisors if is_exact(d) and d < thr)
-    return rank, sf.divisors
+    return rank_below(divisors, thr), divisors
 
 
 def kernel_basis(M: PadicMatrix):
@@ -845,12 +854,6 @@ def kernel_basis(M: PadicMatrix):
         if k >= len(sf.divisors) or not is_exact(sf.divisors[k]):
             cols.append([sf.R.rows[i][k] for i in range(M.ncols)])
     return cols
-
-
-def column_space_basis(M: PadicMatrix):
-    """Basis of the column span: the first ``rank`` columns of Linv."""
-    sf = smith_form(M)
-    return [[sf.Linv.rows[i][k] for i in range(M.nrows)] for k in range(sf.rank)], sf
 
 
 def saturate_lattice(M: PadicMatrix) -> PadicMatrix:
@@ -864,9 +867,6 @@ def saturate_lattice(M: PadicMatrix) -> PadicMatrix:
             if not e.is_integral():
                 raise ValueError("entries must be integral")
     sf = smith_form(M)
-    if sf.rank < min(M.nrows, M.ncols) and sf.rank < M.ncols:
-        # columns beyond the certified rank contribute nothing certifiable
-        pass
     if sf.rank == 0:
         raise PrecisionError("rank indeterminate at precision")
     basis = [[sf.Linv.rows[i][k] for i in range(M.nrows)] for k in range(sf.rank)]

@@ -12,12 +12,14 @@ from .padic import (
     FieldDescriptor,
     PadicMatrix,
     PrecisionError,
+    SmithForm,
     certified_rank,
     embed_element,
     field_embedding,
     is_exact,
     make_field_cached,
     matrix_to_json,
+    rank_below,
     smith_form,
 )
 from .models import LubinTateModel, iota_matrix
@@ -58,9 +60,15 @@ class ProjectivePoint:
 
 @dataclass
 class PeriodMatrix:
+    """A certified rank-(n-1) matrix with its one Smith form L*X*R = D."""
+
     X: PadicMatrix
     n: int
-    divisors: list
+    smith: SmithForm
+
+    @property
+    def divisors(self):
+        return self.smith.divisors
 
     @property
     def field(self):
@@ -76,17 +84,18 @@ def from_matrix(X: PadicMatrix) -> PeriodMatrix:
     n = X.nrows
     if X.ncols != n:
         raise ValueError("matrix must be square")
-    rank, divisors = certified_rank(X)
+    sf = smith_form(X)
+    rank = rank_below(sf.divisors, X.precision)
     if rank == n:
-        raise RankCertificationError("full_rank", divisors)
+        raise RankCertificationError("full_rank", sf.divisors)
     if rank < n - 1:
-        raise RankCertificationError("rank_deficient", divisors)
-    return PeriodMatrix(X, n, divisors)
+        raise RankCertificationError("rank_deficient", sf.divisors)
+    return PeriodMatrix(X, n, sf)
 
 
 def fil_G(pm: PeriodMatrix) -> ProjectivePoint:
     """Column space of X with its left-kernel covector."""
-    sf = smith_form(pm.X)
+    sf = pm.smith
     n = pm.n
     basis = PadicMatrix(
         pm.field, [[sf.Linv.rows[i][k] for k in range(n - 1)] for i in range(n)]
@@ -97,7 +106,7 @@ def fil_G(pm: PeriodMatrix) -> ProjectivePoint:
 
 def fil_H(pm: PeriodMatrix) -> ProjectivePoint:
     """Row space of X with the right-kernel covector."""
-    sf = smith_form(pm.X)
+    sf = pm.smith
     n = pm.n
     basis = PadicMatrix(
         pm.field, [[sf.Rinv.rows[k][i] for k in range(n - 1)] for i in range(n)]
@@ -107,8 +116,22 @@ def fil_H(pm: PeriodMatrix) -> ProjectivePoint:
 
 
 def correspond(pm: PeriodMatrix) -> PeriodMatrix:
-    """The tower correspondence at the matrix level: transpose (an involution)."""
-    return PeriodMatrix(pm.X.transpose(), pm.n, pm.divisors)
+    """The tower correspondence at the matrix level: transpose (an involution).
+
+    L*X*R = D gives R^T*X^T*L^T = D, so the Smith form of X^T is read off
+    the stored one: fil_G of the image is fil_H of ``pm`` and vice versa.
+    """
+    sf = pm.smith
+    sf_t = SmithForm(
+        sf.divisors,
+        sf.pivots,
+        sf.R.transpose(),
+        sf.Rinv.transpose(),
+        sf.L.transpose(),
+        sf.Linv.transpose(),
+        sf.rank,
+    )
+    return PeriodMatrix(pm.X.transpose(), pm.n, sf_t)
 
 
 @dataclass
@@ -148,7 +171,7 @@ def omega_membership(point: ProjectivePoint) -> OmegaVerdict:
         for e in normal
     ]
     M = PadicMatrix(base, rows)
-    rank, divisors = certified_rank(M)
+    rank, _ = certified_rank(M)
     if rank == n:
         return OmegaVerdict("in_Omega")
     # rank-deficient: extract a left-kernel vector of M as the witness

@@ -1,9 +1,14 @@
 """CLI: subcommand behavior, exit codes, JSON shape, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import padicperiods
 from padicperiods import cli, formal
 from padicperiods.padic import PadicMatrix, make_field_cached, matrix_to_json
 
@@ -125,6 +130,35 @@ class TestFormalGroupCommand:
         monkeypatch.setattr(cli.formal, "group_law", boom)
         code, _, err = run(capsys, ["formal-group", "--p", "2", "--h", "1"])
         assert code == cli.EXIT_INTEGRALITY
+
+
+def run_process(argv, timeout=60):
+    """The CLI in a fresh interpreter, killed if it outlasts ``timeout``."""
+    src = str(Path(padicperiods.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "padicperiods.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
+class TestRejectedInputs:
+    """Bad values exit 2 with one line on stderr, no traceback, no hang."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["formal-group", "--p", "2", "--h", "0"],
+            ["ledger", "--p", "1", "--h", "1"],
+            ["ledger", "--p", "4", "--h", "2"],
+        ],
+    )
+    def test_exit_2_with_one_line(self, argv):
+        proc = run_process(argv)
+        assert proc.returncode == cli.EXIT_BAD_FLAGS
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
 
 
 class TestDeterminism:

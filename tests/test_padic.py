@@ -3,9 +3,10 @@ Teichmueller lifts, Smith-style reduction, saturation, rank certification,
 characteristic polynomials, and JSON round-trips."""
 
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from padicperiods.padic import (
     AtLeast,
@@ -23,9 +24,17 @@ from padicperiods.padic import (
     make_field_cached,
     matrix_from_json,
     matrix_to_json,
+    rank_below,
     saturate_lattice,
     smith_form,
     teichmueller,
+)
+from padicperiods.periods import (
+    RankCertificationError,
+    correspond,
+    fil_G,
+    fil_H,
+    from_matrix,
 )
 
 
@@ -119,6 +128,27 @@ class TestRingAxioms:
     def test_frobenius_homomorphism(self, x, y):
         assert (x + y).frobenius().approx_equal(x.frobenius() + y.frobenius())
         assert (x * y).frobenius().approx_equal(x.frobenius() * y.frobenius())
+
+
+class TestCoercion:
+    def test_fraction_operand_raises_type_error(self, Q4):
+        x = Q4.from_int(3)
+        for op in (
+            lambda: x + Fraction(1, 2),
+            lambda: x - Fraction(1, 2),
+            lambda: x * Fraction(1, 2),
+            lambda: x / Fraction(1, 2),
+            lambda: Fraction(1, 2) + x,
+            lambda: Fraction(1, 2) - x,
+        ):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_int_operand_still_coerced(self, Q4):
+        x = Q4.from_int(3)
+        assert (x + 1).approx_equal(Q4.from_int(4))
+        assert (2 - x).approx_equal(Q4.from_int(-1))
+        assert x == 3 and x != Fraction(3)
 
 
 class TestTeichmueller:
@@ -246,6 +276,95 @@ class TestSmith:
             except ZeroDivisionError:
                 continue
             assert (M * inv).approx_equal(PadicMatrix.identity(Q4, 3, inv.precision))
+
+
+PREC = 10
+
+
+def _entry(draw, f):
+    """A random element of valuation 0..PREC+1, mostly small (beyond N it
+    reads AtLeast), optionally divided by p or p^2."""
+    p = f.p
+    coeffs = [draw(st.integers(0, p ** PREC - 1)) for _ in range(f.m)]
+    v = draw(st.one_of(st.integers(0, 2), st.integers(0, PREC + 1)))
+    shift = draw(st.integers(0, 2))
+    return f.from_coeffs([x * p ** v for x in coeffs], PREC, shift)
+
+
+@st.composite
+def elimination_inputs(draw, square_corank_one=False):
+    """Matrices over Q_2, Q_4 or Q_8: square or not, full or deficient rank.
+
+    A deficient matrix is a product A*B through a smaller inner dimension;
+    products of entries with negative valuation have lowered precision.
+    With ``square_corank_one`` the result is n x n through inner dimension
+    n - 1, a candidate for from_matrix.
+    """
+    f = make_field_cached(2, draw(st.sampled_from([1, 2, 3])), PREC)
+    if square_corank_one:
+        r = c = draw(st.integers(2, 4))
+        k = r - 1
+    else:
+        r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        k = draw(st.integers(1, min(r, c)))
+        if k == min(r, c) and draw(st.booleans()):
+            return PadicMatrix(f, [[_entry(draw, f) for _ in range(c)] for _ in range(r)])
+    A = PadicMatrix(f, [[_entry(draw, f) for _ in range(k)] for _ in range(r)])
+    B = PadicMatrix(f, [[_entry(draw, f) for _ in range(c)] for _ in range(k)])
+    return A * B
+
+
+def _same_element(x, y):
+    return (x.coeffs, x.shift, x.abs_precision) == (y.coeffs, y.shift, y.abs_precision)
+
+
+class TestSharedElimination:
+    """The rank-only path and the full Smith form share one elimination."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(elimination_inputs())
+    def test_rank_only_divisors_match_smith_form(self, M):
+        try:
+            sf = smith_form(M)
+        except PrecisionError:
+            with pytest.raises(PrecisionError):
+                certified_rank(M)
+            return
+        rank, divisors = certified_rank(M)
+        assert divisors == sf.divisors
+        assert [type(d) for d in divisors] == [type(d) for d in sf.divisors]
+        assert M.elementary_divisors() == sf.divisors
+        assert rank == rank_below(sf.divisors, M.precision)
+
+    @settings(max_examples=60, deadline=None)
+    @given(elimination_inputs(square_corank_one=True))
+    def test_correspond_carries_transposed_smith_form(self, X):
+        try:
+            pm = from_matrix(X)
+        except (RankCertificationError, PrecisionError):
+            assume(False)
+        n = pm.n
+        pt = correspond(pm)
+        sf = pt.smith
+        f = X.field
+        D = sf.L * pt.X * sf.R
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    assert D.rows[i][j].is_zero_at_precision()
+                elif i < sf.rank:
+                    assert D.rows[i][i].approx_equal(sf.pivots[i])
+                else:
+                    assert D.rows[i][i].is_zero_at_precision()
+        assert (sf.L * sf.Linv).approx_equal(PadicMatrix.identity(f, n))
+        assert (sf.R * sf.Rinv).approx_equal(PadicMatrix.identity(f, n))
+        assert sf.divisors == pm.divisors
+
+        g, h = fil_G(pt), fil_H(pm)
+        assert len(g.basis.rows) == len(h.basis.rows) == n
+        for rg, rh in zip(g.basis.rows, h.basis.rows):
+            assert all(_same_element(x, y) for x, y in zip(rg, rh))
+        assert all(_same_element(x, y) for x, y in zip(g.normal, h.normal))
 
 
 class TestSaturate:
