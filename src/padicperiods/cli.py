@@ -4,7 +4,8 @@ formal group, emitting deterministic JSON reports.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 bad flags, 3 rank
 certification rejected the input matrix, 4 an indeterminate verdict was
-produced (report still emitted), 5 integrality assertion failed.
+produced (report still emitted) or a PrecisionError stopped the command
+before its report, 5 integrality assertion failed.
 """
 
 from __future__ import annotations
@@ -108,6 +109,9 @@ def cmd_correspond(args):
         m = args.m
         if m is None or n is None:
             print("correspond: need --n and --m (or --matrix)", file=sys.stderr)
+            return EXIT_BAD_FLAGS
+        if n < 2:
+            print(f"correspond: need --n >= 2 (got n={n})", file=sys.stderr)
             return EXIT_BAD_FLAGS
         if m < n:
             print(
@@ -297,6 +301,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FLAGS
+    except PrecisionError as exc:
+        print(f"indeterminate: {exc}", file=sys.stderr)
+        return EXIT_INDETERMINATE
 
 
 if __name__ == "__main__":

@@ -349,7 +349,7 @@ class PadicElement:
         return best - self.shift
 
     def is_zero_at_precision(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_integral(self):
         v = self.valuation()
@@ -380,13 +380,17 @@ class PadicElement:
     def __neg__(self):
         return PadicElement(self.field, [-c for c in self.coeffs], self.shift, self.abs_precision)
 
+    def _valuation_or_precision(self):
+        """The exact valuation, or N for an element indistinguishable from 0."""
+        return self.valuation() if any(self.coeffs) else self.abs_precision
+
     def __mul__(self, other):
         other = self._coerce(other)
         f = self.field
-        v1, v2 = self.valuation(), other.valuation()
-        e1 = v1 if is_exact(v1) else self.abs_precision
-        e2 = v2 if is_exact(v2) else other.abs_precision
-        N = min(self.abs_precision + e2, other.abs_precision + e1)
+        N = min(
+            self.abs_precision + other._valuation_or_precision(),
+            other.abs_precision + self._valuation_or_precision(),
+        )
         if N < 1:
             raise PrecisionError("product has no significant digits")
         s = self.shift + other.shift
@@ -450,7 +454,7 @@ class PadicElement:
     def frobenius(self):
         """The lift of x -> x^p; a Q_p-linear ring automorphism of order m."""
         f = self.field
-        if f.m == 1:
+        if not any(self.coeffs[1:]):  # x lies in Q_p, which sigma fixes
             return self
         M = f.p ** (self.abs_precision + self.shift)
         g = f.frobenius_poly(self.abs_precision + self.shift)
@@ -726,10 +730,33 @@ class PadicMatrix:
 
 
 def _dot(row, col):
-    acc = None
+    """Sum of the products a_i*b_i, skipping those with a zero factor.
+
+    A skipped product is zero, but it still caps the precision of the sum
+    at the precision ``a*b`` would have had, so the result equals the dense
+    fold in coefficients, shift and precision.
+    """
+    acc = cap = None
     for a, b in zip(row, col):
-        t = a * b
-        acc = t if acc is None else acc + t
+        # For a zero factor a, v(b) <= N_b, so the product's precision
+        # min(N_a + v(b), N_b + N_a) is N_a + v(b).
+        if not any(a.coeffs):
+            N = a.abs_precision + b._valuation_or_precision()
+        elif not any(b.coeffs):
+            N = b.abs_precision + a._valuation_or_precision()
+        else:
+            t = a * b
+            acc = t if acc is None else acc + t
+            continue
+        if N < 1:
+            raise PrecisionError("product has no significant digits")
+        cap = N if cap is None else min(cap, N)
+    if cap is None:
+        return acc
+    if acc is None:
+        return row[0].field.zero(cap)
+    if cap < acc.abs_precision:
+        return PadicElement(acc.field, acc.coeffs, acc.shift, cap)
     return acc
 
 
@@ -878,21 +905,31 @@ def saturate_lattice(M: PadicMatrix) -> PadicMatrix:
 
 
 def charpoly(M: PadicMatrix):
-    """Coefficients [a_0, ..., a_n] of det(tI - M), low degree first."""
+    """Coefficients [a_0, ..., a_n] of det(tI - M), low degree first.
+
+    When every entry lies in Z_p (shift 0, no w-part) the loop runs on the
+    integers c_0 mod p^N, N = M.precision.  That is the generic loop's
+    answer exactly: its zero accumulators cap every coefficient at N,
+    products of integral elements never fall below N, and Z_p -> Z_{p^m}
+    is a ring map.
+    """
     n = M.nrows
     if n != M.ncols:
         raise ValueError("not square")
     f = M.field
-    one = f.one(M.precision)
-    zero = f.zero(M.precision)
-    A = M.rows
-    # fast integer path for prime-field integral matrices
-    if f.m == 1 and all(e.shift == 0 for r in A for e in r):
-        N = M.precision
+    N = M.precision
+    if all(e.shift == 0 and not any(e.coeffs[1:]) for r in M.rows for e in r):
         mod = f.p ** N
-        Ai = [[e.coeffs[0] % mod for e in r] for r in A]
-        coeffs = _berkowitz_int(Ai, mod)
-        return [PadicElement(f, (c,), 0, N) for c in coeffs]
+        pad = (0,) * (f.m - 1)
+        coeffs = _berkowitz_int([[e.coeffs[0] % mod for e in r] for r in M.rows], mod)
+        return [PadicElement(f, (c,) + pad, 0, N) for c in coeffs]
+    return _berkowitz_padic(M)
+
+
+def _berkowitz_padic(M: PadicMatrix):
+    """charpoly(M) by the division-free loop over PadicElements, any entries."""
+    A, n = M.rows, M.nrows
+    one, zero = M.field.one(M.precision), M.field.zero(M.precision)
     vec = [one]
     for i in range(1, n + 1):
         a = A[i - 1][i - 1]
@@ -902,8 +939,8 @@ def charpoly(M: PadicMatrix):
         T = [one, zero - a]
         cur = Ccol
         for _ in range(i - 1):
-            T.append(zero - _dot_z(Rrow, cur, zero))
-            cur = [_dot_z(Msub[t], cur, zero) for t in range(len(Msub))]
+            T.append(zero - _dot(Rrow, cur))
+            cur = [zero + _dot(Msub[t], cur) for t in range(len(Msub))]
         new = []
         for s in range(i + 1):
             acc = zero
@@ -914,13 +951,6 @@ def charpoly(M: PadicMatrix):
         vec = new
     # vec is highest-degree-first
     return list(reversed(vec))
-
-
-def _dot_z(row, col, zero):
-    acc = zero
-    for a, b in zip(row, col):
-        acc = acc + a * b
-    return acc
 
 
 def _berkowitz_int(A, mod):

@@ -35,6 +35,13 @@ class TestModelsCommand:
         rep = json.loads(out)
         assert rep["slopes"]["height_n_model"] == ["1/1"]
 
+    def test_n5_over_q32(self, capsys):
+        code, out, _ = run(capsys, ["models", "--n", "5", "--precision", "32"])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["slopes"]["height_n_model"] == ["1/5"] * 5
+        assert rep["slopes"]["special_model"] == ["1/5"] * 25
+
     def test_missing_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["models"])
@@ -159,6 +166,25 @@ class TestRejectedInputs:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("n, m", [("1", "1"), ("0", "1"), ("-1", "2")])
+    def test_correspond_needs_n_at_least_2(self, n, m):
+        proc = run_process(["correspond", "--n", n, "--m", m])
+        assert proc.returncode == cli.EXIT_BAD_FLAGS
+        assert proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and "--n" in lines[0]
+
+
+class TestPrecisionErrorExit:
+    def test_exit_4_with_one_line(self):
+        # the Newton polygon of DG(5) needs precision above v(det) = 25
+        proc = run_process(["models", "--n", "5", "--precision", "14"])
+        assert proc.returncode == cli.EXIT_INDETERMINATE
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("indeterminate: ")
 
 
 class TestDeterminism:

@@ -108,6 +108,14 @@ class TestBuildDG:
         assert s == [Fraction(0)] * 2
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_slopes_over_model_field(n):
+    """Both models over Q_{2^n}, DG(5) over Q_32 included."""
+    dh, dg = build_DH(n, precision=32), build_DG(n, precision=32)
+    assert newton_slopes(dh.isocrystal(dh.field)) == [Fraction(1, n)] * n
+    assert newton_slopes(dg.isocrystal(dg.field)) == [Fraction(1, n)] * (n * n)
+
+
 class TestIota:
     def test_identity(self):
         mod = build_DH(3, precision=16)

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from padicperiods.padic import (
     AtLeast,
+    PadicElement,
     PadicMatrix,
     PrecisionError,
     certified_rank,
@@ -28,6 +29,8 @@ from padicperiods.padic import (
     saturate_lattice,
     smith_form,
     teichmueller,
+    _berkowitz_padic,
+    _poly_eval_poly,
 )
 from padicperiods.periods import (
     RankCertificationError,
@@ -367,6 +370,102 @@ class TestSharedElimination:
         assert all(_same_element(x, y) for x, y in zip(g.normal, h.normal))
 
 
+@st.composite
+def sparse_entries(draw, f, w_part=True, max_shift=3):
+    """An entry at precision 2, 6 or 10: often zero, sometimes p-divisible,
+    with a denominator up to p^max_shift and, if ``w_part``, maybe a w-part."""
+    p = f.p
+    N = draw(st.sampled_from([2, 6, 10]))
+    if draw(st.integers(0, 2)) == 0:
+        return f.zero(N)
+    v = draw(st.sampled_from([0, 0, 1, 3]))
+    coeffs = [draw(st.integers(0, p ** N - 1)) * p ** v for _ in range(f.m)]
+    if not w_part or draw(st.booleans()):
+        coeffs[1:] = [0] * (f.m - 1)
+    shift = draw(st.integers(0, max_shift)) if draw(st.booleans()) else 0
+    return f.from_coeffs(coeffs, N, shift)
+
+
+@st.composite
+def sparse_products(draw):
+    f = make_field_cached(2, draw(st.sampled_from([1, 2, 3])), PREC)
+    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+    A = PadicMatrix(f, [[draw(sparse_entries(f)) for _ in range(k)] for _ in range(r)])
+    B = PadicMatrix(f, [[draw(sparse_entries(f)) for _ in range(c)] for _ in range(k)])
+    return A, B
+
+
+@st.composite
+def square_matrices(draw, in_zp):
+    """Square matrices over Q_2, Q_4 or Q_8; with ``in_zp`` every entry
+    lies in Z_p."""
+    f = make_field_cached(2, draw(st.sampled_from([1, 2, 3])), PREC)
+    n = draw(st.integers(1, 5))
+    entries = sparse_entries(f, w_part=not in_zp, max_shift=0 if in_zp else 3)
+    return PadicMatrix(f, [[draw(entries) for _ in range(n)] for _ in range(n)])
+
+
+def _dense_product(A, B):
+    """Reference A*B: every product formed, then folded left to right."""
+    out = []
+    for row in A.rows:
+        out_row = []
+        for col in zip(*B.rows):
+            acc = row[0] * col[0]
+            for a, b in zip(row[1:], col[1:]):
+                acc = acc + a * b
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _horner_frobenius(x):
+    """sigma(x) by evaluating x's coefficients at the image of w."""
+    f = x.field
+    g = f.frobenius_poly(x.abs_precision + x.shift)
+    mod = f.p ** (x.abs_precision + x.shift)
+    img = _poly_eval_poly(list(x.coeffs), g, list(f.modulus), mod)
+    return PadicElement(f, img + [0] * (f.m - len(img)), x.shift, x.abs_precision)
+
+
+class TestSkippedZeros:
+    """Zero entries, Q_p entries and Z_p matrices take shortcuts that must
+    give the same element as the general arithmetic, field by field."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_products())
+    def test_product_matches_dense_fold(self, AB):
+        A, B = AB
+        try:
+            expected = _dense_product(A, B)
+        except PrecisionError:
+            with pytest.raises(PrecisionError):
+                A * B
+            return
+        got = (A * B).rows
+        for rg, rd in zip(got, expected):
+            assert all(_same_element(x, y) for x, y in zip(rg, rd))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.booleans().flatmap(square_matrices))
+    def test_charpoly_matches_generic_loop(self, M):
+        try:
+            expected = _berkowitz_padic(M)
+        except PrecisionError:
+            with pytest.raises(PrecisionError):
+                charpoly(M)
+            return
+        got = charpoly(M)
+        assert len(got) == len(expected) == M.nrows + 1
+        assert all(_same_element(x, y) for x, y in zip(got, expected))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(
+        lambda m: sparse_entries(make_field_cached(2, m, PREC), w_part=False)))
+    def test_frobenius_fixes_qp(self, x):
+        assert _same_element(x.frobenius(), _horner_frobenius(x))
+
+
 class TestSaturate:
     def test_divide_single_column(self, Q2):
         M = PadicMatrix.from_ints(Q2, [[2], [2]])
@@ -412,7 +511,7 @@ class TestCharpoly:
         rows = [[rng.randrange(2 ** 8) for _ in range(4)] for _ in range(4)]
         f1 = make_field_cached(2, 1, 16)
         c_int = charpoly(PadicMatrix.from_ints(f1, rows))
-        c_gen = charpoly(PadicMatrix.from_ints(Q4, rows))
+        c_gen = _berkowitz_padic(PadicMatrix.from_ints(Q4, rows))
         for a, b in zip(c_int, c_gen):
             assert a.coeffs[0] == b.coeffs[0]
 
