@@ -19,6 +19,7 @@ from fractions import Fraction
 from . import formal, ledger as ledger_mod, models, periods, semilinear
 from .padic import (
     PrecisionError,
+    _is_prime,
     make_field_cached,
     matrix_from_json,
     matrix_to_json,
@@ -36,10 +37,14 @@ EXIT_INTEGRALITY = 5
 
 
 def _default_precision():
+    raw = os.environ.get("PADIC_PRECISION", "32")
     try:
-        return int(os.environ.get("PADIC_PRECISION", "32"))
+        precision = int(raw)
     except ValueError:
-        return 32
+        precision = 0
+    if precision < 1:
+        raise ValueError(f"PADIC_PRECISION must be an integer >= 1 (got {raw!r})")
+    return precision
 
 
 def _emit(report, pretty):
@@ -56,17 +61,20 @@ def _slope_json(slopes):
 
 
 def cmd_models(args):
-    n, precision = args.n, args.precision
-    dh = models.build_DH(n, precision=precision)
-    dg = models.build_DG(n, precision=precision)
-    delta = models.delta_matrix(n, precision=precision)
+    n, p, precision = args.n, args.p, args.precision
+    if not _is_prime(p):
+        print(f"models: --p must be a prime (got p={p})", file=sys.stderr)
+        return EXIT_BAD_FLAGS
+    dh = models.build_DH(n, precision=precision, base_p=p)
+    dg = models.build_DG(n, precision=precision, base_p=p)
+    delta = models.delta_matrix(n, precision=precision, base_p=p)
     report = {
         "command": "models",
         "n": n,
         "precision": precision,
         "height_n_model": dh.to_json(),
         "special_model": dg.to_json(),
-        "phi_matrix": matrix_to_json(models.phi_matrix(n, precision)),
+        "phi_matrix": matrix_to_json(models.phi_matrix(n, precision, base_p=p)),
         "delta": delta.to_json(),
         "slopes": {
             "height_n_model": _slope_json(
@@ -265,7 +273,7 @@ def build_parser():
 
     m = sub.add_parser("models", help="build both integral models and slope reports")
     m.add_argument("--n", type=int, required=True)
-    m.add_argument("--p", type=int, default=2)
+    m.add_argument("--p", type=int, default=2, help="the prime p of Q_p (default 2)")
     m.add_argument("--precision", type=int, default=_default_precision())
     m.set_defaults(func=cmd_models)
 
@@ -294,7 +302,11 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
+    try:
+        ap = build_parser()  # binds the PADIC_PRECISION default
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_FLAGS
     args = ap.parse_args(argv)
     try:
         return args.func(args)

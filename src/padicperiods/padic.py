@@ -50,31 +50,37 @@ def _poly_trim(a):
     return a
 
 
-def _poly_mul(a, b, mod):
+def _poly_mul(a, b):
+    """a*b over the integers; the caller reduces the coefficients."""
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % mod
-    return _poly_trim(out)
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return out
 
 
 def _poly_rem(a, f, mod):
-    # f monic
+    """a mod (f, mod) for monic f; a may have unreduced coefficients.
+
+    Each coefficient is reduced once: a leading one when it is divided out,
+    the others at the end.  The leading term of f only cancels the popped
+    coefficient, and zero terms of f change nothing, so both are skipped.
+    """
     a = list(a)
     df = len(f) - 1
-    while len(a) - 1 >= df:
-        c = a[-1] % mod
-        k = len(a) - 1 - df
+    while len(a) > df:
+        c = a.pop() % mod
         if c:
-            for i in range(df + 1):
-                a[k + i] = (a[k + i] - c * f[i]) % mod
-        a.pop()
-    return _poly_trim(a)
+            k = len(a) - df
+            for i in range(df):
+                if f[i]:
+                    a[k + i] -= c * f[i]
+    return _poly_trim([x % mod for x in a])
 
 
 def _poly_mulmod(a, b, f, mod):
-    return _poly_rem(_poly_mul(a, b, mod), f, mod)
+    return _poly_rem(_poly_mul(a, b), f, mod)
 
 
 def _poly_powmod(a, e, f, mod):
@@ -141,13 +147,13 @@ def _poly_inverse(a, f, p, M):
         r0, r1 = r1, _poly_trim(
             [
                 (x - y) % p
-                for x, y in itertools.zip_longest(r0, _poly_mul(q, r1, p), fillvalue=0)
+                for x, y in itertools.zip_longest(r0, _poly_mul(q, r1), fillvalue=0)
             ]
         )
         s0, s1 = s1, _poly_trim(
             [
                 (x - y) % p
-                for x, y in itertools.zip_longest(s0, _poly_mul(q, s1, p), fillvalue=0)
+                for x, y in itertools.zip_longest(s0, _poly_mul(q, s1), fillvalue=0)
             ]
         )
     lead_inv = pow(r0[-1], -1, p) if r0 else None
@@ -306,6 +312,14 @@ def make_field(p, m, precision):
 # elements
 
 
+def _scaled(x, s):
+    """x's coefficients over the denominator p^s (s >= x.shift)."""
+    if s == x.shift:
+        return x.coeffs
+    k = x.field.p ** (s - x.shift)
+    return [c * k for c in x.coeffs]
+
+
 class PadicElement:
     """Element of Q_{p^m} at absolute precision N.
 
@@ -362,10 +376,7 @@ class PadicElement:
             raise ValueError("field mismatch")
         s = max(self.shift, other.shift)
         N = min(self.abs_precision, other.abs_precision)
-        p = self.field.p
-        a = [c * p ** (s - self.shift) for c in self.coeffs]
-        b = [c * p ** (s - other.shift) for c in other.coeffs]
-        return a, b, s, N
+        return _scaled(self, s), _scaled(other, s), s, N
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -394,10 +405,16 @@ class PadicElement:
         if N < 1:
             raise PrecisionError("product has no significant digits")
         s = self.shift + other.shift
-        mod = f.p ** (N + s)
-        prod = _poly_mulmod(list(self.coeffs), list(other.coeffs), list(f.modulus), mod) \
-            if f.m > 1 else [(self.coeffs[0] * other.coeffs[0]) % mod]
-        prod = prod + [0] * (f.m - len(prod))
+        # A factor in Q_p scales the other one coefficient by coefficient;
+        # PadicElement reduces the scaled coefficients mod p^(N+s).
+        if not any(self.coeffs[1:]):
+            prod = [x * self.coeffs[0] for x in other.coeffs]
+        elif not any(other.coeffs[1:]):
+            prod = [x * other.coeffs[0] for x in self.coeffs]
+        else:
+            mod = f.p ** (N + s)
+            prod = _poly_mulmod(list(self.coeffs), list(other.coeffs), list(f.modulus), mod)
+            prod = prod + [0] * (f.m - len(prod))
         return PadicElement(f, prod, s, N)
 
     __radd__ = __add__
@@ -416,13 +433,13 @@ class PadicElement:
         N = self.abs_precision - 2 * v
         if N < 1 or rel < 1:
             raise PrecisionError("inverse has no significant digits")
-        w = v + self.shift  # coefficient-level valuation
-        unit = [c // p ** w for c in self.coeffs]
-        if f.m > 1:
+        pw = p ** (v + self.shift)  # p to the coefficient-level valuation
+        unit = [c // pw for c in self.coeffs]
+        if any(unit[1:]):
             inv = _poly_inverse(unit, list(f.modulus), p, rel)
-        else:
-            inv = [pow(unit[0], -1, p ** rel)]
-        inv = inv + [0] * (f.m - len(inv))
+            inv = inv + [0] * (f.m - len(inv))
+        else:  # a unit of Z_p
+            inv = [pow(unit[0], -1, p ** rel)] + [0] * (f.m - 1)
         shift_out = max(v, 0)
         scale = p ** (shift_out - v)
         return PadicElement(f, [c * scale for c in inv], shift_out, N)
@@ -820,12 +837,17 @@ def _reduce(M: PadicMatrix, track: bool):
                 for row in R.rows:
                     row[k], row[bj] = row[bj], row[k]
                 Rinv.rows[k], Rinv.rows[bj] = Rinv.rows[bj], Rinv.rows[k]
-        pivot = work[k][k]
+        # The pivot is inverted once, and only if an entry needs clearing:
+        # a pivot with no significant inverse digits raises PrecisionError
+        # exactly where e / pivot would have.
+        pivot, pinv = work[k][k], None
         for i in range(k + 1, r):
             e = work[i][k]
             if e.is_zero_at_precision():
                 continue
-            fct = e / pivot
+            if pinv is None:
+                pinv = pivot.inverse()
+            fct = e * pinv
             for j in range(k, c):
                 work[i][j] = work[i][j] - fct * work[k][j]
             if track:
@@ -836,7 +858,9 @@ def _reduce(M: PadicMatrix, track: bool):
             e = work[k][j]
             if e.is_zero_at_precision():
                 continue
-            fct = e / pivot
+            if pinv is None:
+                pinv = pivot.inverse()
+            fct = e * pinv
             for i in range(r):
                 work[i][j] = work[i][j] - work[i][k] * fct
             if track:

@@ -1,5 +1,6 @@
 """CLI: subcommand behavior, exit codes, JSON shape, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -46,6 +47,23 @@ class TestModelsCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main(["models"])
         assert exc.value.code == 2
+
+    def test_p3_builds_over_q3(self, capsys):
+        code, out, _ = run(capsys, ["models", "--n", "2", "--p", "3", "--precision", "12"])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["phi_matrix"]["p"] == 3
+        assert rep["height_n_model"]["V_matrix"]["p"] == 3
+        assert rep["delta"]["matrix"]["p"] == 3
+        assert rep["pass"] is True
+
+    @pytest.mark.parametrize("p", ["4", "1", "0", "-3"])
+    def test_non_prime_p_exits_2(self, capsys, p):
+        code, out, err = run(capsys, ["models", "--n", "2", "--p", p])
+        assert code == cli.EXIT_BAD_FLAGS
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "--p" in lines[0]
 
 
 class TestCorrespondCommand:
@@ -176,6 +194,20 @@ class TestRejectedInputs:
         assert len(lines) == 1 and "--n" in lines[0]
 
 
+class TestBadPrecisionEnv:
+    """A PADIC_PRECISION that is not an integer >= 1 is refused, not replaced."""
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-4", "2.5", ""])
+    def test_exit_2_naming_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("PADIC_PRECISION", value)
+        proc = run_process(["models", "--n", "1"])
+        assert proc.returncode == cli.EXIT_BAD_FLAGS
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and "PADIC_PRECISION" in lines[0]
+
+
 class TestPrecisionErrorExit:
     def test_exit_4_with_one_line(self):
         # the Newton polygon of DG(5) needs precision above v(det) = 25
@@ -212,3 +244,18 @@ class TestDeterminism:
         parser = cli.build_parser()
         args = parser.parse_args(["models", "--n", "1"])
         assert args.precision == 12
+
+
+CLI_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "cli_digests.json"
+
+
+class TestStoredDigests:
+    """Each stored argv still exits with its code and prints the same bytes."""
+
+    @pytest.mark.parametrize(
+        "case", json.loads(CLI_DIGESTS.read_text()), ids=lambda c: " ".join(c["argv"])
+    )
+    def test_stdout_matches_digest(self, capsys, case):
+        code, out, _ = run(capsys, case["argv"])
+        assert code == case["exit"]
+        assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]

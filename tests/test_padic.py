@@ -31,6 +31,11 @@ from padicperiods.padic import (
     teichmueller,
     _berkowitz_padic,
     _poly_eval_poly,
+    _poly_inverse,
+    _poly_mul,
+    _poly_mulmod,
+    _poly_rem,
+    _reduce,
 )
 from padicperiods.periods import (
     RankCertificationError,
@@ -464,6 +469,238 @@ class TestSkippedZeros:
         lambda m: sparse_entries(make_field_cached(2, m, PREC), w_part=False)))
     def test_frobenius_fixes_qp(self, x):
         assert _same_element(x.frobenius(), _horner_frobenius(x))
+
+
+def _trimmed(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _per_term_poly_mul(a, b, mod):
+    """Reference product: every term added and reduced mod ``mod`` at once."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % mod
+    return _trimmed(out)
+
+
+def _per_term_poly_rem(a, f, mod):
+    """Reference remainder by monic f: every term of f reduced at once."""
+    a = list(a)
+    df = len(f) - 1
+    while len(a) - 1 >= df:
+        c = a[-1] % mod
+        k = len(a) - 1 - df
+        if c:
+            for i in range(df + 1):
+                a[k + i] = (a[k + i] - c * f[i]) % mod
+        a.pop()
+    return _trimmed(a)
+
+
+def _per_term_poly_mulmod(a, b, f, mod):
+    return _per_term_poly_rem(_per_term_poly_mul(a, b, mod), f, mod)
+
+
+def _e(x):
+    """The exact valuation of x, or its precision N if it reads AtLeast(N)."""
+    v = x.valuation()
+    return v if is_exact(v) else v.n
+
+
+def _reference_mul(x, y):
+    """x*y as a polynomial product mod (f, p^(N+s)), whatever the factors."""
+    f = x.field
+    N = min(x.abs_precision + _e(y), y.abs_precision + _e(x))
+    if N < 1:
+        raise PrecisionError("product has no significant digits")
+    s = x.shift + y.shift
+    prod = _per_term_poly_mulmod(list(x.coeffs), list(y.coeffs), list(f.modulus), f.p ** (N + s))
+    return PadicElement(f, prod + [0] * (f.m - len(prod)), s, N)
+
+
+def _reference_inverse(x):
+    """1/x with the unit part inverted by _poly_inverse, whatever the unit."""
+    f, p = x.field, x.field.p
+    v = x.valuation()
+    if not is_exact(v):
+        raise ZeroDivisionError("element indistinguishable from zero")
+    rel, N = x.abs_precision - v, x.abs_precision - 2 * v
+    if N < 1 or rel < 1:
+        raise PrecisionError("inverse has no significant digits")
+    unit = [c // p ** (v + x.shift) for c in x.coeffs]
+    inv = _poly_inverse(unit, list(f.modulus), p, rel)
+    inv = inv + [0] * (f.m - len(inv))
+    shift = max(v, 0)
+    return PadicElement(f, [c * p ** (shift - v) for c in inv], shift, N)
+
+
+def _reference_smith(M):
+    """Smith-style reduction dividing by the pivot at every entry it clears."""
+    f, r, c, N = M.field, M.nrows, M.ncols, M.precision
+    work = [row[:] for row in M.rows]
+    L, Linv = PadicMatrix.identity(f, r, N).rows, PadicMatrix.identity(f, r, N).rows
+    R, Rinv = PadicMatrix.identity(f, c, N).rows, PadicMatrix.identity(f, c, N).rows
+    divisors, pivots = [], []
+    for k in range(min(r, c)):
+        cands = [(work[i][j].valuation(), i, j) for i in range(k, r) for j in range(k, c)]
+        cands = [t for t in cands if is_exact(t[0])]
+        if not cands:
+            break
+        v, bi, bj = min(cands, key=lambda t: t[0])
+        work[k], work[bi] = work[bi], work[k]
+        L[k], L[bi] = L[bi], L[k]
+        for row in Linv:
+            row[k], row[bi] = row[bi], row[k]
+        for row in work + R:
+            row[k], row[bj] = row[bj], row[k]
+        Rinv[k], Rinv[bj] = Rinv[bj], Rinv[k]
+        pivot = work[k][k]
+        for i in range(k + 1, r):
+            if work[i][k].is_zero_at_precision():
+                continue
+            fct = work[i][k] / pivot
+            for j in range(k, c):
+                work[i][j] = work[i][j] - fct * work[k][j]
+            for j in range(r):
+                L[i][j] = L[i][j] - fct * L[k][j]
+                Linv[j][k] = Linv[j][k] + fct * Linv[j][i]
+        for j in range(k + 1, c):
+            if work[k][j].is_zero_at_precision():
+                continue
+            fct = work[k][j] / pivot
+            for i in range(r):
+                work[i][j] = work[i][j] - work[i][k] * fct
+            for i in range(c):
+                R[i][j] = R[i][j] - R[i][k] * fct
+            for jj in range(c):
+                Rinv[k][jj] = Rinv[k][jj] + fct * Rinv[j][jj]
+        divisors.append(v)
+        pivots.append(pivot)
+    divisors += [AtLeast(N)] * (min(r, c) - len(divisors))
+    return divisors, pivots, (L, Linv, R, Rinv)
+
+
+SCALAR_DEGREES = [1, 2, 3, 6]  # Q_2, Q_4, Q_8, Q_64
+
+
+def _scalar_field(draw):
+    return make_field_cached(2, draw(st.sampled_from(SCALAR_DEGREES)), PREC)
+
+
+@st.composite
+def qp_pairs(draw):
+    """(element of Q_p, any element) of one field, each as sparse_entries."""
+    f = _scalar_field(draw)
+    return draw(sparse_entries(f, w_part=False)), draw(sparse_entries(f))
+
+
+@st.composite
+def any_entries(draw):
+    return draw(sparse_entries(_scalar_field(draw)))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """r x c matrices of sparse_entries: many zeros, precisions 2/6/10, so
+    a pivot often has no significant inverse digits."""
+    f = _scalar_field(draw)
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return PadicMatrix(f, [[draw(sparse_entries(f)) for _ in range(c)] for _ in range(r)])
+
+
+@st.composite
+def poly_inputs(draw):
+    """Two polynomials with reduced, unreduced and zero coefficients, a
+    monic modulus with zero terms, and a prime-power modulus."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    mod = p ** draw(st.integers(1, 12))
+    coeff = st.one_of(st.just(0), st.integers(0, mod - 1), st.integers(0, mod * p ** 3))
+    a, b = (draw(st.lists(coeff, max_size=8)) for _ in range(2))
+    f = draw(st.lists(st.one_of(st.just(0), st.integers(0, mod - 1)), max_size=6)) + [1]
+    return a, b, f, mod
+
+
+def _same_outcome(reference, fast, *args):
+    """fast(*args) equals reference(*args) field by field, or both raise the
+    same exception type."""
+    try:
+        expected = reference(*args)
+    except (PrecisionError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            fast(*args)
+        return None
+    got = fast(*args)
+    return expected, got
+
+
+class TestQpScalars:
+    """Q_p factors, Z_p units, single-reduction polynomial arithmetic and
+    one pivot inverse per elimination step give what the general
+    arithmetic gives, field by field."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(qp_pairs())
+    def test_product_with_qp_factor(self, pair):
+        x, y = pair
+        for a, b in ((x, y), (y, x)):
+            out = _same_outcome(_reference_mul, lambda u, v: u * v, a, b)
+            if out:
+                assert _same_element(*out)
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_entries())
+    def test_inverse_matches_poly_inverse(self, x):
+        out = _same_outcome(_reference_inverse, lambda u: u.inverse(), x)
+        if out:
+            assert _same_element(*out)
+
+    @settings(max_examples=300, deadline=None)
+    @given(poly_inputs())
+    def test_single_reduction_polynomials(self, inputs):
+        a, b, f, mod = inputs
+        reduced = _per_term_poly_mul(a, b, mod)
+        assert _trimmed([x % mod for x in _poly_mul(a, b)]) == reduced
+        for r in (reduced, _poly_mul(a, b), a + b):
+            assert _poly_rem(r, f, mod) == _per_term_poly_rem([x % mod for x in r], f, mod)
+        assert _poly_mulmod(a, b, f, mod) == _per_term_poly_mulmod(a, b, f, mod)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(sparse_matrices(), elimination_inputs()))
+    def test_elimination_matches_division_per_entry(self, M):
+        out = _same_outcome(_reference_smith, lambda A: _reduce(A, True), M)
+        if out is None:
+            with pytest.raises(PrecisionError):
+                _reduce(M, False)
+            return
+        (div, piv, mats), (got_div, got_piv, got_mats) = out
+        assert got_div == div
+        assert [type(d) for d in got_div] == [type(d) for d in div]
+        assert all(_same_element(x, y) for x, y in zip(got_piv, piv, strict=True))
+        for ref, got in zip(mats, got_mats):
+            for rr, rg in zip(ref, got.rows, strict=True):
+                assert all(_same_element(x, y) for x, y in zip(rr, rg, strict=True))
+        rank_only = _reduce(M, False)
+        assert rank_only[0] == div
+        assert all(_same_element(x, y) for x, y in zip(rank_only[1], piv, strict=True))
+
+    def test_pivot_without_inverse_digits_and_nothing_to_clear(self):
+        # v(8) = 3 at precision 4: 1/8 would have precision 4 - 6 < 1
+        f = make_field_cached(2, 2, PREC)
+        x, zero = f.from_coeffs([8], 4), f.zero(4)
+        with pytest.raises(PrecisionError):
+            x.inverse()
+        M = PadicMatrix(f, [[zero, zero], [zero, x]])
+        sf = smith_form(M)
+        assert sf.divisors == _reference_smith(M)[0] == [3, AtLeast(4)]
+        assert _same_element(sf.pivots[0], x)
+        with pytest.raises(PrecisionError):  # 8 needs clearing: 8 / 8 fails
+            smith_form(PadicMatrix(f, [[x, x]]))
+        with pytest.raises(PrecisionError):
+            _reference_smith(PadicMatrix(f, [[x, x]]))
 
 
 class TestSaturate:
