@@ -101,8 +101,14 @@ def cmd_correspond(args):
     n = args.n
     report = {"command": "correspond", "n": n, "precision": precision}
     if args.matrix:
-        with open(args.matrix) as fh:
-            X = matrix_from_json(json.load(fh))
+        try:
+            with open(args.matrix) as fh:
+                X = matrix_from_json(json.load(fh))
+            if X.nrows != X.ncols or X.nrows < 2:
+                raise ValueError(f"need an n x n matrix, n >= 2 (got {X.nrows}x{X.ncols})")
+        except (OSError, ValueError) as exc:
+            print(f"correspond: --matrix {args.matrix}: {exc}", file=sys.stderr)
+            return EXIT_BAD_FLAGS
         n = X.nrows
         report["n"] = n
         report["source"] = {"matrix": args.matrix}
@@ -171,8 +177,12 @@ def cmd_ledger(args):
         except ValueError:
             print("ledger: --heights expects n,htH,htG,htDelta", file=sys.stderr)
             return EXIT_BAD_FLAGS
-        led = ledger_mod.HeightLedger(n, ht_h, ht_g, ht_d)
-        verdict = ledger_mod.height_transfer(led)
+        try:
+            led = ledger_mod.HeightLedger(n, ht_h, ht_g, ht_d)
+            verdict = ledger_mod.height_transfer(led)
+        except ValueError as exc:
+            print(f"ledger: --heights: {exc}", file=sys.stderr)
+            return EXIT_BAD_FLAGS
         report = {
             "command": "ledger",
             "heights": {"n": n, "ht_rho_H": ht_h, "ht_rho_G": ht_g, "ht_Delta": ht_d},
@@ -229,6 +239,9 @@ def cmd_ledger(args):
 
 def cmd_formal_group(args):
     p, h, D = args.p, args.h, args.D
+    if p < 2 or h < 1:
+        print(f"formal-group: need --p >= 2 and --h >= 1 (got p={p}, h={h})", file=sys.stderr)
+        return EXIT_BAD_FLAGS
     if D is None:
         D = p ** h + p
     if D < p ** h:

@@ -70,6 +70,10 @@ class HeightLedger:
     ht_rho_G: int
     ht_Delta: int
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1 (got n={self.n})")
+
 
 @dataclass
 class CMDatum:

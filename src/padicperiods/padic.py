@@ -480,6 +480,8 @@ class PadicElement:
         return PadicElement(f, img, self.shift, self.abs_precision)
 
     def frobenius_iterate(self, k):
+        if not any(self.coeffs[1:]):  # x lies in Q_p, which sigma fixes
+            return self
         x = self
         for _ in range(k % self.field.m):
             x = x.frobenius()
@@ -680,14 +682,7 @@ class PadicMatrix:
 
     def __mul__(self, other):
         if isinstance(other, PadicMatrix):
-            bt = list(zip(*other.rows))
-            return PadicMatrix(
-                self.field,
-                [
-                    [_dot(row, col) for col in bt]
-                    for row in self.rows
-                ],
-            )
+            return PadicMatrix(self.field, _product(self.rows, list(zip(*other.rows))))
         return PadicMatrix(self.field, [[e * other for e in r] for r in self.rows])
 
     def scale(self, x):
@@ -746,35 +741,85 @@ class PadicMatrix:
         return total
 
 
-def _dot(row, col):
-    """Sum of the products a_i*b_i, skipping those with a zero factor.
+_INF = float("inf")
 
-    A skipped product is zero, but it still caps the precision of the sum
-    at the precision ``a*b`` would have had, so the result equals the dense
-    fold in coefficients, shift and precision.
+
+def _split(v):
+    """(vals, nonzero, zeros, e) of a vector of elements, each flag read once.
+
+    ``vals[t]`` is the entry, or None when it is zero; ``nonzero`` holds the
+    pairs (t, x) of the nonzero entries in increasing t; ``zeros`` maps each
+    precision N of a zero entry to the set of its positions.  ``e[t]`` is
+    e(x): N for a zero entry, and for a nonzero one None until ``_product``
+    needs the valuation and stores it there.
     """
-    acc = cap = None
-    for a, b in zip(row, col):
-        # For a zero factor a, v(b) <= N_b, so the product's precision
-        # min(N_a + v(b), N_b + N_a) is N_a + v(b).
-        if not any(a.coeffs):
-            N = a.abs_precision + b._valuation_or_precision()
-        elif not any(b.coeffs):
-            N = b.abs_precision + a._valuation_or_precision()
+    vals, nonzero, zeros, e = [], [], {}, []
+    for t, x in enumerate(v):
+        if any(x.coeffs):
+            vals.append(x)
+            nonzero.append((t, x))
+            e.append(None)
         else:
-            t = a * b
-            acc = t if acc is None else acc + t
-            continue
-        if N < 1:
-            raise PrecisionError("product has no significant digits")
-        cap = N if cap is None else min(cap, N)
-    if cap is None:
-        return acc
-    if acc is None:
-        return row[0].field.zero(cap)
-    if cap < acc.abs_precision:
-        return PadicElement(acc.field, acc.coeffs, acc.shift, cap)
-    return acc
+            vals.append(None)
+            zeros.setdefault(x.abs_precision, set()).add(t)
+            e.append(x.abs_precision)
+    return vals, nonzero, zeros, e
+
+
+def _product(rows, cols):
+    """The sums rows[i] . cols[j] for all i, j, multiplying only nonzero pairs.
+
+    The pairs with both factors nonzero are multiplied in increasing t, so
+    each sum folds in the order of the dense loop.  A skipped product is
+    zero, but it still caps the sum at the precision a*b would have had,
+    e(a) + e(b), where e(x) is the valuation of x, or N_x for a zero x
+    (capped-absolute precision, as in Caruso-Roe-Vaccon).  Each entry equals
+    the dense fold in coefficients, shift and precision.  e(x) is computed at
+    most once per entry, and only when a zero partner needs it, so a product
+    without zeros does no extra valuations.
+    """
+    rs = [_split(r) for r in rows]
+    cs = [_split(c) for c in cols]
+    zero_at = {}  # one zero element per cap; elements are never mutated
+    out = []
+    for row, (a_vals, a_nonzero, a_zeros, a_e) in zip(rows, rs):
+        out_row = []
+        for b_vals, b_nonzero, b_zeros, b_e in cs:
+            acc, cap = None, _INF
+            for t, a in a_nonzero:
+                b = b_vals[t]
+                if b is not None:
+                    prod = a * b
+                    acc = prod if acc is None else acc + prod
+                else:  # b is zero: N_b + e(a)
+                    e = a_e[t]
+                    if e is None:
+                        e = a_e[t] = a.valuation()
+                    if b_e[t] + e < cap:
+                        cap = b_e[t] + e
+            if a_zeros:
+                for t, b in b_nonzero:
+                    if a_vals[t] is None:  # a is zero: N_a + e(b)
+                        e = b_e[t]
+                        if e is None:
+                            e = b_e[t] = b.valuation()
+                        if a_e[t] + e < cap:
+                            cap = a_e[t] + e
+                for na, ta in a_zeros.items():  # both are zero: N_a + N_b
+                    for nb, tb in b_zeros.items():
+                        if na + nb < cap and not ta.isdisjoint(tb):
+                            cap = na + nb
+            if cap < 1:
+                raise PrecisionError("product has no significant digits")
+            if acc is None:
+                acc = zero_at.get(cap)
+                if acc is None:
+                    acc = zero_at[cap] = row[0].field.zero(cap)
+            elif cap < acc.abs_precision:
+                acc = PadicElement(acc.field, acc.coeffs, acc.shift, cap)
+            out_row.append(acc)
+        out.append(out_row)
+    return out
 
 
 @dataclass
@@ -963,8 +1008,9 @@ def _berkowitz_padic(M: PadicMatrix):
         T = [one, zero - a]
         cur = Ccol
         for _ in range(i - 1):
-            T.append(zero - _dot(Rrow, cur))
-            cur = [zero + _dot(Msub[t], cur) for t in range(len(Msub))]
+            sums = _product([Rrow] + Msub, [cur])
+            T.append(zero - sums[0][0])
+            cur = [zero + s[0] for s in sums[1:]]
         new = []
         for s in range(i + 1):
             acc = zero
@@ -1012,13 +1058,17 @@ def _berkowitz_int_py(A, mod, n):
     vec = [1]
     for i in range(1, n + 1):
         a = A[i - 1][i - 1]
-        Rrow = A[i - 1][: i - 1]
-        Msub = [row[: i - 1] for row in A[: i - 1]]
+        # only the nonzero entries: (j, x) of Rrow, (t, j, x) of Msub
+        Rrow = [(j, x) for j, x in enumerate(A[i - 1][: i - 1]) if x]
+        Msub = [(t, j, x) for t, row in enumerate(A[: i - 1]) for j, x in enumerate(row[: i - 1]) if x]
         T = [1, (-a) % mod]
         cur = [A[t][i - 1] for t in range(i - 1)]
         for _ in range(i - 1):
-            T.append((-sum(x * y for x, y in zip(Rrow, cur))) % mod)
-            cur = [sum(x * y for x, y in zip(Msub[t], cur)) % mod for t in range(len(Msub))]
+            T.append((-sum(x * cur[j] for j, x in Rrow)) % mod)
+            nxt = [0] * (i - 1)
+            for t, j, x in Msub:
+                nxt[t] += x * cur[j]
+            cur = [c % mod for c in nxt]
         new = []
         for s in range(i + 1):
             acc = 0
@@ -1063,14 +1113,40 @@ def matrix_to_json(M: PadicMatrix):
     }
 
 
+def _json_int(x, what):
+    """An int written as a JSON number or a decimal string."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError(f"{what} must be an integer (got {x!r})")
+    return int(x)
+
+
 def matrix_from_json(d):
-    field = make_field_cached(d["p"], d["m"], d["precision"])
-    shifts = d.get("shifts")
+    """The matrix written by ``matrix_to_json``; ValueError if malformed."""
+    if not isinstance(d, dict):
+        raise ValueError("matrix JSON must be an object")
+    missing = [k for k in ("p", "m", "precision", "coeffs") if k not in d]
+    if missing:
+        raise ValueError(f"matrix JSON lacks {', '.join(missing)}")
+    p, m, N = (_json_int(d[k], k) for k in ("p", "m", "precision"))
+    field = make_field_cached(p, m, N)
+    coeffs, shifts = d["coeffs"], d.get("shifts")
+    if not (isinstance(coeffs, list) and coeffs and all(
+            isinstance(r, list) and r and len(r) == len(coeffs[0]) for r in coeffs)):
+        raise ValueError("coeffs must be a non-empty list of rows of equal length")
+    if shifts is None:
+        shifts = [[0] * len(row) for row in coeffs]
+    elif not (isinstance(shifts, list) and len(shifts) == len(coeffs) and all(
+            isinstance(r, list) and len(r) == len(coeffs[0]) for r in shifts)):
+        raise ValueError("shifts must have the shape of coeffs")
     rows = []
-    for i, row in enumerate(d["coeffs"]):
+    for crow, srow in zip(coeffs, shifts):
         out = []
-        for j, coeffs in enumerate(row):
-            s = shifts[i][j] if shifts else 0
-            out.append(PadicElement(field, [int(c) for c in coeffs], s, d["precision"]))
+        for c, s in zip(crow, srow):
+            if not (isinstance(c, list) and len(c) == m):
+                raise ValueError(f"each entry needs a list of m = {m} coefficients")
+            s = _json_int(s, "shift")
+            if s < 0:
+                raise ValueError(f"shift must be >= 0 (got {s})")
+            out.append(PadicElement(field, [_json_int(x, "coefficient") for x in c], s, N))
         rows.append(out)
     return PadicMatrix(field, rows)

@@ -1,6 +1,8 @@
 """CLI: subcommand behavior, exit codes, JSON shape, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import padicperiods
 from padicperiods import cli, formal
@@ -192,6 +195,102 @@ class TestRejectedInputs:
         assert proc.stdout == ""
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and "--n" in lines[0]
+
+
+    @pytest.mark.parametrize("heights", ["0,0,0,0", "-1,0,0,0"])
+    def test_heights_need_n_at_least_1(self, heights):
+        proc = run_process(["ledger", f"--heights={heights}"])
+        assert proc.returncode == cli.EXIT_BAD_FLAGS
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and "--heights" in lines[0]
+
+
+def _q4_document():
+    return matrix_to_json(PadicMatrix.from_ints(make_field_cached(2, 2, 16), [[1, 1], [1, 1]]))
+
+
+class TestMalformedMatrix:
+    """A --matrix file that is not a matrix document exits 2 with one line
+    naming the flag."""
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {},
+            [1, 2],
+            dict(_q4_document(), coeffs=[]),
+            dict(_q4_document(), coeffs=[[["1", "0"], ["1", "0"]], [["1", "0"]]], shifts=None),
+            dict(_q4_document(), coeffs=[[["1", "0"]]], shifts=[[0]]),
+            dict(_q4_document(), shifts=[[0, 0]]),
+            dict(_q4_document(), coeffs=[[["1"], ["1"]], [["1"], ["1"]]]),
+            dict(_q4_document(), p="two"),
+        ],
+        ids=["empty-object", "top-level-list", "no-rows", "ragged-rows", "1x1",
+             "shifts-shape", "short-entry", "p-not-an-integer"],
+    )
+    def test_exit_2_naming_the_flag(self, tmp_path, capsys, document):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, ["correspond", "--matrix", str(path)])
+        assert code == cli.EXIT_BAD_FLAGS
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "--matrix" in lines[0]
+
+
+def _argv(*parts):
+    return [str(x) for x in parts if x is not None]
+
+
+# Bounded argv for every subcommand, bad values included.
+ARGVS = st.one_of(
+    st.builds(
+        lambda n, p, N: _argv("models", "--n", n, "--p", p, "--precision", N),
+        st.integers(1, 3), st.sampled_from([2, 3, 4]), st.integers(1, 16),
+    ),
+    st.builds(
+        lambda n, m, seed, N: _argv("correspond", "--n", n, "--m", m, "--seed", seed,
+                                    *(("--precision", N) if N else ())),
+        st.integers(0, 3), st.integers(0, 4), st.integers(0, 2 ** 31 - 1),
+        st.none() | st.integers(1, 32),
+    ),
+    st.builds(
+        lambda hs: ["ledger", "--heights=" + ",".join(map(str, hs))],
+        st.lists(st.integers(-3, 6), min_size=3, max_size=5),
+    ),
+    st.builds(
+        lambda p, h, i0: _argv("ledger", "--p", p, "--h", h, "--i0", i0),
+        st.integers(-1, 8), st.integers(-1, 5), st.none() | st.integers(-2, 5),
+    ),
+    st.builds(
+        lambda p, h, D: _argv("formal-group", "--p", p, "--h", h, *(("--D", D) if D is not None else ())),
+        st.integers(0, 3), st.integers(-1, 3), st.none() | st.integers(-1, 40),
+    ),
+)
+
+
+class TestContractFuzz:
+    """Every run ends in a documented exit code with at most one JSON line
+    on stdout and no traceback, within a time bound."""
+
+    @settings(max_examples=200, deadline=20_000,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(ARGVS)
+    def test_exit_code_and_output(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refusing a flag
+                code = exc.code
+        assert code in range(6), (argv, code)
+        lines = out.getvalue().splitlines()
+        assert len(lines) <= 1
+        if lines:
+            json.loads(lines[0])
+        assert "Traceback" not in err.getvalue()
 
 
 class TestBadPrecisionEnv:

@@ -4,6 +4,7 @@ characteristic polynomials, and JSON round-trips."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -29,6 +30,7 @@ from padicperiods.padic import (
     saturate_lattice,
     smith_form,
     teichmueller,
+    _berkowitz_int_py,
     _berkowitz_padic,
     _poly_eval_poly,
     _poly_inverse,
@@ -391,13 +393,62 @@ def sparse_entries(draw, f, w_part=True, max_shift=3):
     return f.from_coeffs(coeffs, N, shift)
 
 
+def _random_entry(rng, f, zero_percent, precisions, max_shift):
+    """Like sparse_entries, drawn from ``rng``: zero with the given chance."""
+    p, N = f.p, rng.choice(precisions)
+    if rng.randrange(100) < zero_percent:
+        return f.zero(N)
+    v = rng.choice([0, 0, 1, 3])
+    coeffs = [rng.randrange(p ** N) * p ** v for _ in range(f.m)]
+    if rng.random() < 0.5:
+        coeffs[1:] = [0] * (f.m - 1)
+    shift = rng.randint(0, max_shift) if rng.random() < 0.3 else 0
+    return f.from_coeffs(coeffs, N, shift)
+
+
+def _profile(rng):
+    """Precisions and largest shift of one random matrix: mixed precisions
+    make the caps of skipped products bind, shifts give e(x) < 0, and
+    precision 2 with shift 3 leaves products without significant digits."""
+    return rng.choice([[10], [6, 10], [2, 6, 10]]), rng.choice([0, 1, 3])
+
+
+def _random_matrix(rng, f, r, c, zero_percent):
+    """Sometimes one row and one column are all zero."""
+    precisions, max_shift = _profile(rng)
+    rows = [[_random_entry(rng, f, zero_percent, precisions, max_shift) for _ in range(c)]
+            for _ in range(r)]
+    if rng.random() < 0.5:
+        i, j = rng.randrange(r), rng.randrange(c)
+        rows[i] = [f.zero(rng.choice(precisions)) for _ in range(c)]
+        for row in rows:
+            row[j] = f.zero(rng.choice(precisions))
+    return PadicMatrix(f, rows)
+
+
+def _permutation_like(rng, f, n):
+    """n x n with one nonzero entry per row and per column, like the
+    Frobenius of build_DG."""
+    precisions, max_shift = _profile(rng)
+    cols = list(range(n))
+    rng.shuffle(cols)
+    rows = [[f.zero(rng.choice(precisions)) for _ in range(n)] for _ in range(n)]
+    for i, j in enumerate(cols):
+        rows[i][j] = _random_entry(rng, f, 0, precisions, max_shift)
+    return PadicMatrix(f, rows)
+
+
 @st.composite
 def sparse_products(draw):
+    """(A, B) over Q_2, Q_4 or Q_8: up to 9 x 9 with 0-95 % zeros, or two
+    16 x 16 permutation-like matrices (the shape of build_DG(4))."""
     f = make_field_cached(2, draw(st.sampled_from([1, 2, 3])), PREC)
-    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
-    A = PadicMatrix(f, [[draw(sparse_entries(f)) for _ in range(k)] for _ in range(r)])
-    B = PadicMatrix(f, [[draw(sparse_entries(f)) for _ in range(c)] for _ in range(k)])
-    return A, B
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.integers(0, 4)) == 0:
+        return _permutation_like(rng, f, 16), _permutation_like(rng, f, 16)
+    r, k, c = (draw(st.integers(1, 9)) for _ in range(3))
+    zero_percent = draw(st.sampled_from([0, 33, 80, 90, 95]))
+    return _random_matrix(rng, f, r, k, zero_percent), _random_matrix(rng, f, k, c, zero_percent)
 
 
 @st.composite
@@ -410,18 +461,55 @@ def square_matrices(draw, in_zp):
     return PadicMatrix(f, [[draw(entries) for _ in range(n)] for _ in range(n)])
 
 
+def _dense_dot(row, col):
+    """Every product formed, then folded left to right."""
+    acc = row[0] * col[0]
+    for a, b in zip(row[1:], col[1:]):
+        acc = acc + a * b
+    return acc
+
+
 def _dense_product(A, B):
-    """Reference A*B: every product formed, then folded left to right."""
-    out = []
-    for row in A.rows:
-        out_row = []
-        for col in zip(*B.rows):
-            acc = row[0] * col[0]
-            for a, b in zip(row[1:], col[1:]):
-                acc = acc + a * b
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    """Reference A*B by dense folds."""
+    return [[_dense_dot(row, col) for col in zip(*B.rows)] for row in A.rows]
+
+
+def _dense_berkowitz_padic(M):
+    """Reference charpoly: the division-free loop with dense folds."""
+    A, n = M.rows, M.nrows
+    one, zero = M.field.one(M.precision), M.field.zero(M.precision)
+    vec = [one]
+    for i in range(1, n + 1):
+        Rrow = A[i - 1][: i - 1]
+        Msub = [row[: i - 1] for row in A[: i - 1]]
+        T = [one, zero - A[i - 1][i - 1]]
+        cur = [A[t][i - 1] for t in range(i - 1)]
+        for _ in range(i - 1):
+            T.append(zero - _dense_dot(Rrow, cur))
+            cur = [zero + _dense_dot(row, cur) for row in Msub]
+        vec = [
+            sum((T[t] * vec[s - t] for t in range(min(s, len(T) - 1) + 1) if s - t < len(vec)), zero)
+            for s in range(i + 1)
+        ]
+    return list(reversed(vec))
+
+
+def _dense_berkowitz_int(A, mod, n):
+    """Reference integer Berkowitz: every row summed over all columns."""
+    vec = [1]
+    for i in range(1, n + 1):
+        Rrow = A[i - 1][: i - 1]
+        Msub = [row[: i - 1] for row in A[: i - 1]]
+        T = [1, (-A[i - 1][i - 1]) % mod]
+        cur = [A[t][i - 1] for t in range(i - 1)]
+        for _ in range(i - 1):
+            T.append((-sum(x * y for x, y in zip(Rrow, cur))) % mod)
+            cur = [sum(x * y for x, y in zip(row, cur)) % mod for row in Msub]
+        vec = [
+            sum(T[t] * vec[s - t] for t in range(min(s, len(T) - 1) + 1) if s - t < len(vec)) % mod
+            for s in range(i + 1)
+        ]
+    return list(reversed(vec))
 
 
 def _horner_frobenius(x):
@@ -450,6 +538,60 @@ class TestSkippedZeros:
         got = (A * B).rows
         for rg, rd in zip(got, expected):
             assert all(_same_element(x, y) for x, y in zip(rg, rd))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_products())
+    def test_only_nonzero_pairs_multiplied_in_increasing_t(self, AB):
+        A, B = AB
+        where = {id(x): ("a", i, t) for i, row in enumerate(A.rows) for t, x in enumerate(row)}
+        where.update({id(x): ("b", t, j) for t, row in enumerate(B.rows) for j, x in enumerate(row)})
+        formed = {}
+        mul = PadicElement.__mul__
+
+        def recording_mul(x, y):
+            if id(x) in where and id(y) in where:
+                (_, i, t), (_, t2, j) = where[id(x)], where[id(y)]
+                assert t == t2
+                formed.setdefault((i, j), []).append(t)
+            return mul(x, y)
+
+        with mock.patch.object(PadicElement, "__mul__", recording_mul):
+            try:
+                A * B
+            except PrecisionError:
+                return
+        for i, row in enumerate(A.rows):
+            for j, col in enumerate(zip(*B.rows)):
+                expected = [t for t, (a, b) in enumerate(zip(row, col))
+                            if not a.is_zero_at_precision() and not b.is_zero_at_precision()]
+                assert formed.get((i, j), []) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.booleans().flatmap(square_matrices))
+    def test_generic_loop_matches_dense_folds(self, M):
+        out = _same_outcome(_dense_berkowitz_padic, _berkowitz_padic, M)
+        if out:
+            assert all(_same_element(x, y) for x, y in zip(*out, strict=True))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 9), st.sampled_from([0, 50, 80, 95]), st.randoms(use_true_random=False))
+    def test_sparse_integer_berkowitz_matches_dense_rows(self, n, zero_percent, rng):
+        # 3^20 and 2^32 are above the int64 guard, so charpoly would take this path
+        mod = rng.choice([2 ** 32, 3 ** 20])
+        A = [[0 if rng.randrange(100) < zero_percent else rng.randrange(mod)
+              for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:
+            A[rng.randrange(n)] = [0] * n
+        assert _berkowitz_int_py(A, mod, n) == _dense_berkowitz_int(A, mod, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(
+        lambda m: sparse_entries(make_field_cached(2, m, PREC))), st.integers(-4, 7))
+    def test_frobenius_iterate_is_repeated_frobenius(self, x, k):
+        y = x
+        for _ in range(k % x.field.m):
+            y = y.frobenius()
+        assert _same_element(x.frobenius_iterate(k), y)
 
     @settings(max_examples=200, deadline=None)
     @given(st.booleans().flatmap(square_matrices))
