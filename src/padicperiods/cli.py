@@ -56,10 +56,6 @@ def _emit(report, pretty):
     sys.stdout.write(text + "\n")
 
 
-def _slope_json(slopes):
-    return [f"{s.numerator}/{s.denominator}" for s in slopes]
-
-
 def cmd_models(args):
     n, p, precision = args.n, args.p, args.precision
     if not _is_prime(p):
@@ -77,10 +73,10 @@ def cmd_models(args):
         "phi_matrix": matrix_to_json(models.phi_matrix(n, precision, base_p=p)),
         "delta": delta.to_json(),
         "slopes": {
-            "height_n_model": _slope_json(
+            "height_n_model": semilinear.slopes_to_json(
                 semilinear.newton_slopes(dh.isocrystal(dh.field))
             ),
-            "special_model": _slope_json(
+            "special_model": semilinear.slopes_to_json(
                 semilinear.newton_slopes(dg.isocrystal(dg.field))
             ),
         },

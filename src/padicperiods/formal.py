@@ -109,11 +109,6 @@ class BivariateSeriesTrunc:
     def zero(cls, D):
         return cls({}, D)
 
-    @classmethod
-    def variable(cls, which, D):
-        key = (1, 0) if which == "X" else (0, 1)
-        return cls({key: Fraction(1)}, D)
-
     def get(self, i, j):
         return self.coeffs.get((i, j), Fraction(0))
 
@@ -147,19 +142,6 @@ class BivariateSeriesTrunc:
         return BivariateSeriesTrunc(
             {(j, i): v for (i, j), v in self.coeffs.items()}, self.D
         )
-
-    def substitute(self, sx: "BivariateSeriesTrunc", sy: "BivariateSeriesTrunc"):
-        """self(sx, sy) for substitutions with zero constant term."""
-        D = self.D
-        xpow = [BivariateSeriesTrunc({(0, 0): Fraction(1)}, D)]
-        ypow = [BivariateSeriesTrunc({(0, 0): Fraction(1)}, D)]
-        for _ in range(D):
-            xpow.append(xpow[-1] * sx)
-            ypow.append(ypow[-1] * sy)
-        acc = BivariateSeriesTrunc.zero(D)
-        for (i, j), c in self.coeffs.items():
-            acc = acc + (xpow[i] * ypow[j]).scale(c)
-        return acc
 
     def to_json(self):
         return [

@@ -12,12 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
-
-try:  # optional acceleration for integer characteristic polynomials
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from typing import NamedTuple, Union
 
 
 class AtLeast(NamedTuple):
@@ -241,43 +236,45 @@ class FieldDescriptor:
         return _frobenius_image(self.p, list(self.modulus), min_precision)
 
 
+def _residues(p, m):
+    """Coefficient lists [c_0, ..., c_{m-1}] over F_p, in increasing order of
+    the code c_0 + c_1 p + ... + c_{m-1} p^(m-1)."""
+    for c in itertools.product(range(p), repeat=m):
+        yield list(reversed(c))
+
+
 def _find_modulus(p, m):
     if m == 1:
         return [0, 1]  # generator is 1; modulus x - 0 placeholder unused
-    for code in range(p ** m):
-        coeffs = []
-        c = code
-        for _ in range(m):
-            coeffs.append(c % p)
-            c //= p
-        f = coeffs + [1]
-        if _is_irreducible_mod_p(f, p):
-            return f
+    for c in _residues(p, m):
+        if _is_irreducible_mod_p(c + [1], p):
+            return c + [1]
     raise PrecisionError("no irreducible polynomial found")  # pragma: no cover
 
 
-def _frobenius_image(p, f, N):
-    """Hensel-lift the root of f congruent to x^p mod p, modulo p^N."""
-    m = len(f) - 1
-    if m == 1:
-        return [0]
-    y = _poly_powmod([0, 1], p, f, p)
-    fprime = [(i * f[i]) for i in range(1, m + 1)]
+def _hensel_root(g, y, f, p, N):
+    """The root of g in Z[x]/(f) congruent to y mod p, lifted modulo p^N.
+
+    Newton's iteration y -> y - g(y)/g'(y) doubles the precision each step;
+    g'(y) must be a unit, as it is for a simple root mod p.
+    """
+    gprime = [i * g[i] for i in range(1, len(g))]
     prec = 1
     while prec < N:
         prec = min(2 * prec, N)
         mod = p ** prec
-        fy = _poly_eval_poly(f, y, f, mod)
-        fpy = _poly_eval_poly(fprime, y, f, mod)
-        inv = _poly_inverse(fpy, f, p, prec)
-        corr = _poly_mulmod(fy, inv, f, mod)
-        y = _poly_trim(
-            [
-                (a - b) % mod
-                for a, b in itertools.zip_longest(y, corr, fillvalue=0)
-            ]
-        )
+        gy = _poly_eval_poly(g, y, f, mod)
+        inv = _poly_inverse(_poly_eval_poly(gprime, y, f, mod), f, p, prec)
+        corr = _poly_mulmod(gy, inv, f, mod)
+        y = _poly_trim([(a - b) % mod for a, b in itertools.zip_longest(y, corr, fillvalue=0)])
     return y
+
+
+def _frobenius_image(p, f, N):
+    """The root of f congruent to x^p mod p, modulo p^N."""
+    if len(f) == 2:
+        return [0]
+    return _hensel_root(f, _poly_powmod([0, 1], p, f, p), f, p, N)
 
 
 def _poly_eval_poly(g, y, f, mod):
@@ -532,14 +529,6 @@ def make_field_cached(p, m, precision):
     return _FIELD_CACHE[key]
 
 
-def valuation(x: PadicElement) -> Valuation:
-    return x.valuation()
-
-
-def frobenius(x: PadicElement) -> PadicElement:
-    return x.frobenius()
-
-
 def teichmueller(field: FieldDescriptor, residue_coeffs, precision=None):
     """The (p^m - 1)-th root of unity (or 0) lifting the given residue.
 
@@ -578,32 +567,14 @@ def field_embedding(sub: FieldDescriptor, big: FieldDescriptor):
     if sub.m == 1:
         return big.one()
     p, N = big.p, big.precision
-    f = list(sub.modulus)
-    # find a residue-level root by scanning F_{p^m}
-    for code in range(p ** big.m):
-        coeffs = []
-        c = code
-        for _ in range(big.m):
-            coeffs.append(c % p)
-            c //= p
-        val = _poly_eval_poly([x % p for x in f], coeffs, list(big.modulus), p)
-        if not val:
-            root = coeffs
+    f, F = list(sub.modulus), list(big.modulus)
+    # the first residue-level root in the enumeration of F_{p^m}
+    for root in _residues(p, big.m):
+        if not _poly_eval_poly(f, root, F, p):
             break
     else:  # pragma: no cover
         raise PrecisionError("no residue root found")
-    # Hensel lift inside big
-    fprime = [i * f[i] for i in range(1, len(f))]
-    y = root
-    prec = 1
-    while prec < N:
-        prec = min(2 * prec, N)
-        mod = p ** prec
-        fy = _poly_eval_poly(f, y, list(big.modulus), mod)
-        fpy = _poly_eval_poly(fprime, y, list(big.modulus), mod)
-        inv = _poly_inverse(fpy, list(big.modulus), p, prec)
-        corr = _poly_mulmod(fy, inv, list(big.modulus), mod)
-        y = _poly_trim([(a - b) % mod for a, b in itertools.zip_longest(y, corr, fillvalue=0)])
+    y = _hensel_root(f, root, F, p, N)
     y = y + [0] * (big.m - len(y))
     return PadicElement(big, y, 0, N)
 
@@ -687,9 +658,6 @@ class PadicMatrix:
 
     def scale(self, x):
         return PadicMatrix(self.field, [[e * x for e in r] for r in self.rows])
-
-    def stack(self, other):
-        return PadicMatrix(self.field, self.rows + other.rows)
 
     def map_frobenius(self, k=1):
         return PadicMatrix(
@@ -995,89 +963,63 @@ def charpoly(M: PadicMatrix):
     return _berkowitz_padic(M)
 
 
-def _berkowitz_padic(M: PadicMatrix):
-    """charpoly(M) by the division-free loop over PadicElements, any entries."""
-    A, n = M.rows, M.nrows
-    one, zero = M.field.one(M.precision), M.field.zero(M.precision)
+def _berkowitz(n, zero, one, red, krylov):
+    """The division-free Samuelson-Berkowitz loop over any ring, low degree first.
+
+    ``krylov(i)`` is the sequence T = [1, -a, -R C, -R M C, ..., -R M^(i-2) C]
+    of the i-th leading block, where a = A[i-1][i-1], R and C are the row and
+    column beside it and M is the block above them.  Each step multiplies the
+    coefficient vector by the Toeplitz matrix of T, folding every sum from
+    ``zero`` in increasing t; ``red`` reduces the new vector once per step.
+    """
     vec = [one]
     for i in range(1, n + 1):
-        a = A[i - 1][i - 1]
-        Rrow = A[i - 1][: i - 1]
-        Ccol = [A[t][i - 1] for t in range(i - 1)]
-        Msub = [row[: i - 1] for row in A[: i - 1]]
-        T = [one, zero - a]
-        cur = Ccol
-        for _ in range(i - 1):
-            sums = _product([Rrow] + Msub, [cur])
-            T.append(zero - sums[0][0])
-            cur = [zero + s[0] for s in sums[1:]]
+        T = krylov(i)
         new = []
         for s in range(i + 1):
             acc = zero
-            for t in range(min(s, len(T) - 1) + 1):
-                if s - t < len(vec):
-                    acc = acc + T[t] * vec[s - t]
+            for t in range(max(0, s - i + 1), s + 1):
+                acc += T[t] * vec[s - t]
             new.append(acc)
-        vec = new
-    # vec is highest-degree-first
-    return list(reversed(vec))
+        vec = red(new)
+    return vec[::-1]
+
+
+def _berkowitz_padic(M: PadicMatrix):
+    """charpoly(M) over PadicElements, any entries; matvecs use ``_product``."""
+    A = M.rows
+    one, zero = M.field.one(M.precision), M.field.zero(M.precision)
+
+    def krylov(i):
+        R, Msub = A[i - 1][: i - 1], [row[: i - 1] for row in A[: i - 1]]
+        T = [one, zero - A[i - 1][i - 1]]
+        cur = [A[t][i - 1] for t in range(i - 1)]
+        for _ in range(i - 1):
+            sums = _product([R] + Msub, [cur])
+            T.append(zero - sums[0][0])
+            cur = [zero + s[0] for s in sums[1:]]
+        return T
+
+    return _berkowitz(M.nrows, zero, one, lambda v: v, krylov)
 
 
 def _berkowitz_int(A, mod):
-    n = len(A)
-    # int64 matvec path: safe when row sums of products cannot overflow
-    if _np is not None and n > 4 and n * (mod - 1) ** 2 < 2 ** 62:
-        return _berkowitz_int_np(A, mod, n)
-    return _berkowitz_int_py(A, mod, n)
+    """charpoly of the integer matrix A, coefficients mod ``mod``."""
 
-
-def _berkowitz_int_np(A, mod, n):
-    M = _np.array(A, dtype=_np.int64) % mod
-    vec = [1]
-    for i in range(1, n + 1):
-        a = int(M[i - 1, i - 1])
-        Rrow = M[i - 1, : i - 1]
-        Msub = M[: i - 1, : i - 1]
-        T = [1, (-a) % mod]
-        cur = M[: i - 1, i - 1].copy()
-        for _ in range(i - 1):
-            T.append(int(-(Rrow @ cur)) % mod)
-            cur = (Msub @ cur) % mod
-        new = []
-        for s in range(i + 1):
-            acc = 0
-            for t in range(min(s, len(T) - 1) + 1):
-                if s - t < len(vec):
-                    acc += T[t] * vec[s - t]
-            new.append(acc % mod)
-        vec = new
-    return list(reversed(vec))
-
-
-def _berkowitz_int_py(A, mod, n):
-    vec = [1]
-    for i in range(1, n + 1):
-        a = A[i - 1][i - 1]
-        # only the nonzero entries: (j, x) of Rrow, (t, j, x) of Msub
-        Rrow = [(j, x) for j, x in enumerate(A[i - 1][: i - 1]) if x]
-        Msub = [(t, j, x) for t, row in enumerate(A[: i - 1]) for j, x in enumerate(row[: i - 1]) if x]
-        T = [1, (-a) % mod]
+    def krylov(i):
+        # only the nonzero entries (t, j, x) of the block M and, as row i - 1, of R
+        rows = [(t, j, x) for t, row in enumerate(A[:i]) for j, x in enumerate(row[: i - 1]) if x]
+        T = [1, (-A[i - 1][i - 1]) % mod]
         cur = [A[t][i - 1] for t in range(i - 1)]
         for _ in range(i - 1):
-            T.append((-sum(x * cur[j] for j, x in Rrow)) % mod)
-            nxt = [0] * (i - 1)
-            for t, j, x in Msub:
+            nxt = [0] * i
+            for t, j, x in rows:
                 nxt[t] += x * cur[j]
+            T.append(-nxt.pop() % mod)
             cur = [c % mod for c in nxt]
-        new = []
-        for s in range(i + 1):
-            acc = 0
-            for t in range(min(s, len(T) - 1) + 1):
-                if s - t < len(vec):
-                    acc += T[t] * vec[s - t]
-            new.append(acc % mod)
-        vec = new
-    return list(reversed(vec))
+        return T
+
+    return _berkowitz(len(A), 0, 1, lambda v: [x % mod for x in v], krylov)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .ledger import _frac_str
 from .padic import (
     FieldDescriptor,
     PadicMatrix,
@@ -20,7 +21,6 @@ from .padic import (
     is_exact,
     kernel_basis,
     make_field_cached,
-    matrix_from_json,
     matrix_to_json,
     smith_form,
 )
@@ -50,11 +50,6 @@ class Isocrystal:
             "dim": self.dim,
             "frob_matrix": matrix_to_json(self.frob_matrix),
         }
-
-    @classmethod
-    def from_json(cls, d):
-        M = matrix_from_json(d["frob_matrix"])
-        return cls(M.field, d["dim"], M)
 
 
 @dataclass
@@ -129,7 +124,8 @@ def _hull_value(hull, x):
 
 
 def slopes_to_json(slopes):
-    return [[s.numerator, s.denominator] for s in slopes]
+    """Slopes as exact ``"num/den"`` strings, the package's one rational form."""
+    return [_frac_str(s) for s in slopes]
 
 
 def phi_fixed_points(iso: Isocrystal, twist=0):

@@ -170,6 +170,16 @@ def run_process(argv, timeout=60):
     )
 
 
+def test_import_leaves_numpy_unloaded():
+    src = str(Path(padicperiods.__file__).resolve().parents[1])
+    code = "import sys, padicperiods, padicperiods.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
 class TestRejectedInputs:
     """Bad values exit 2 with one line on stderr, no traceback, no hang."""
 

@@ -30,7 +30,7 @@ from padicperiods.padic import (
     saturate_lattice,
     smith_form,
     teichmueller,
-    _berkowitz_int_py,
+    _berkowitz_int,
     _berkowitz_padic,
     _poly_eval_poly,
     _poly_inverse,
@@ -574,15 +574,30 @@ class TestSkippedZeros:
             assert all(_same_element(x, y) for x, y in zip(*out, strict=True))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 9), st.sampled_from([0, 50, 80, 95]), st.randoms(use_true_random=False))
+    @given(st.integers(1, 25), st.sampled_from([0, 50, 80, 95, "shear"]),
+           st.randoms(use_true_random=False))
     def test_sparse_integer_berkowitz_matches_dense_rows(self, n, zero_percent, rng):
-        # 3^20 and 2^32 are above the int64 guard, so charpoly would take this path
-        mod = rng.choice([2 ** 32, 3 ** 20])
-        A = [[0 if rng.randrange(100) < zero_percent else rng.randrange(mod)
-              for _ in range(n)] for _ in range(n)]
-        if rng.random() < 0.5:
-            A[rng.randrange(n)] = [0] * n
-        assert _berkowitz_int_py(A, mod, n) == _dense_berkowitz_int(A, mod, n)
+        # 2^32 and 3^20 at n <= 9; 2^14 at n <= 25 is the slopes benchmark's
+        # Q_2 input, dense or a shear conjugate of a scaled permutation
+        mod = rng.choice([2 ** 32, 3 ** 20, 2 ** 14])
+        if mod != 2 ** 14:
+            n = min(n, 9)
+        if zero_percent == "shear":
+            perm = rng.sample(range(n), n)
+            A = [[rng.choice([1, 2]) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+            for _ in range(12):
+                i, j, c = rng.randrange(n), rng.randrange(n), rng.randrange(1, 8)
+                if i != j:
+                    for k in range(n):  # row_i += c * row_j, then col_j -= c * col_i
+                        A[i][k] = (A[i][k] + c * A[j][k]) % mod
+                    for k in range(n):
+                        A[k][j] = (A[k][j] - c * A[k][i]) % mod
+        else:
+            A = [[0 if rng.randrange(100) < zero_percent else rng.randrange(mod)
+                  for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.5:
+                A[rng.randrange(n)] = [0] * n
+        assert _berkowitz_int(A, mod) == _dense_berkowitz_int(A, mod, n)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([2, 3]).flatmap(
