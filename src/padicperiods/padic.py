@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Union
 
 
@@ -129,59 +130,30 @@ def _is_prime(n):
 
 
 def _poly_inverse(a, f, p, M):
-    """Inverse of a modulo (f, p^M); a must be a unit (nonzero residue)."""
-    # invert mod p by extended Euclid over F_p, then Hensel lift
-    r0, r1 = [x % p for x in f], [x % p for x in a]
-    s0, s1 = [], [1]
-    _poly_trim(r0), _poly_trim(r1)
-    while r1:
-        inv = pow(r1[-1], -1, p)
-        r1m = [(x * inv) % p for x in r1]
-        q = _poly_quo_fp(r0, r1m, p)
-        q = [(x * inv) % p for x in q]
-        r0, r1 = r1, _poly_trim(
-            [
-                (x - y) % p
-                for x, y in itertools.zip_longest(r0, _poly_mul(q, r1), fillvalue=0)
-            ]
-        )
-        s0, s1 = s1, _poly_trim(
-            [
-                (x - y) % p
-                for x, y in itertools.zip_longest(s0, _poly_mul(q, s1), fillvalue=0)
-            ]
-        )
-    lead_inv = pow(r0[-1], -1, p) if r0 else None
-    if lead_inv is None:
-        raise ZeroDivisionError("not a unit")
-    z = [(x * lead_inv) % p for x in s0]
-    prec = 1
-    while prec < M:
-        prec = min(2 * prec, M)
-        mod = p ** prec
-        az = _poly_mulmod(a, z, f, mod)
-        two_minus = [(-x) % mod for x in az]
-        if two_minus:
-            two_minus[0] = (two_minus[0] + 2) % mod
-        else:
-            two_minus = [2 % mod]
-        z = _poly_mulmod(z, two_minus, f, mod)
-    return z
+    """Inverse of a modulo (f, p^M) for monic f; a must be a unit (nonzero residue).
 
-
-def _poly_quo_fp(a, b, p):
-    # b monic over F_p
-    a = [x % p for x in a]
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    db = len(b) - 1
-    while len(_poly_trim(a)) - 1 >= db:
-        c = a[-1] % p
-        k = len(a) - 1 - db
-        q[k] = c
-        for i in range(db + 1):
-            a[k + i] = (a[k + i] - c * b[i]) % p
-        a.pop()
-    return _poly_trim(q)
+    Solves a*z = 1 by Gauss-Jordan elimination mod p^M on the matrix whose
+    column j is a*x^j mod f.  A unit's matrix is invertible mod p, so each
+    column has a pivot prime to p below the diagonal.
+    """
+    m, mod = len(f) - 1, p ** M
+    col, cols = [x % mod for x in a] + [0] * (m - len(a)), []
+    for _ in range(m):
+        cols.append(col)
+        col = [(c - col[-1] * fc) % mod for c, fc in zip([0] + col[:-1], f)]  # x * col
+    rows = [[cj[i] for cj in cols] + [int(i == 0)] for i in range(m)]
+    for k in range(m):
+        piv = next((i for i in range(k, m) if rows[i][k] % p), None)
+        if piv is None:
+            raise ZeroDivisionError("not a unit")
+        rows[k], rows[piv] = rows[piv], rows[k]
+        inv = pow(rows[k][k], -1, mod)
+        rk = rows[k] = [x * inv % mod for x in rows[k]]
+        for i, row in enumerate(rows):
+            if i != k and row[k]:
+                c = row[k]
+                rows[i] = [(x - c * y) % mod for x, y in zip(row, rk)]
+    return _poly_trim([row[m] for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +206,16 @@ class FieldDescriptor:
         if min_precision <= self.precision:
             return list(self.frobenius_image)
         return _frobenius_image(self.p, list(self.modulus), min_precision)
+
+    @cached_property
+    def powers(self):
+        """w^m, ..., w^(2m-2) modulo the modulus over Z, as coefficient lists."""
+        m, f = self.m, self.modulus
+        out, cur = [], [-c for c in f[:m]]  # w^m
+        for _ in range(m - 1):
+            out.append(cur)
+            cur = [c - cur[-1] * fc for c, fc in zip([0] + cur[:-1], f)]  # w * cur
+        return out
 
 
 def _residues(p, m):
@@ -309,12 +291,118 @@ def make_field(p, m, precision):
 # elements
 
 
-def _scaled(x, s):
-    """x's coefficients over the denominator p^s (s >= x.shift)."""
-    if s == x.shift:
-        return x.coeffs
-    k = x.field.p ** (s - x.shift)
-    return [c * k for c in x.coeffs]
+def _valuation(p, coeffs):
+    """The least valuation of the nonzero integers in coeffs, or None."""
+    best = None
+    for c in coeffs:
+        if c:
+            if c % p:
+                return 0
+            if p == 2:
+                v = (c & -c).bit_length() - 1
+            else:
+                v = 0
+                while not c % p:
+                    c //= p
+                    v += 1
+            if best is None or v < best:
+                best = v
+    return best
+
+
+def _normal(p, coeffs, shift, N):
+    """The normal form (coeffs, shift, N, v) of p^-shift * sum coeffs[i] w^i
+    at absolute precision N: coefficients mod p^(N+shift), with the p-powers
+    that divide all of them pulled out of the denominator.  It depends only
+    on the value mod p^N and on N.  ``v`` is the exact valuation, or None
+    for a value that is zero at precision N (its shift is then 0)."""
+    M = p ** (N + shift)
+    coeffs = [c % M for c in coeffs]
+    v = _valuation(p, coeffs)
+    if v is None:
+        return tuple(coeffs), 0, N, None
+    if shift and v:
+        d = shift if shift < v else v
+        pd = p ** d
+        coeffs = [c // pd for c in coeffs]
+        shift -= d
+        v -= d
+    return tuple(coeffs), shift, N, v - shift
+
+
+def _product_precision(Na, va, Nb, vb):
+    """Absolute precision of a*b: min(N_a + e(b), N_b + e(a)), where e(x) is
+    the valuation v_x of x, or N_x for a zero x (v_x None); capped-absolute
+    precision, as in Caruso-Roe-Vaccon.  PrecisionError when no digit is
+    significant."""
+    N = Na + (Nb if vb is None else vb)
+    if Nb + (Na if va is None else va) < N:
+        N = Nb + (Na if va is None else va)
+    if N < 1:
+        raise PrecisionError("product has no significant digits")
+    return N
+
+
+def _mul_coeffs(f, a, b):
+    """a*b in Z[w]/(modulus) over the integers; the caller reduces mod p^k.
+
+    A factor in Q_p (no w-part) scales the other one coefficient by
+    coefficient.  Otherwise the terms of degree m..2m-2 of the schoolbook
+    product fold back through the field's table of w^m..w^(2m-2).
+    """
+    if not any(a[1:]):
+        return [a[0] * y for y in b]
+    if not any(b[1:]):
+        return [b[0] * x for x in a]
+    m = f.m
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    out = prod[:m]
+    for h, row in zip(prod[m:], f.powers):
+        if h:
+            for i, t in enumerate(row):
+                out[i] += h * t
+    return out
+
+
+def _inverse(f, coeffs, shift, N, v):
+    """(coeffs, shift, N) of 1/x, before normalization, for x = p^-shift *
+    coeffs of exact valuation v at precision N.
+
+    1/x has precision N - 2v; its unit part is inverted modulo p^(N - v),
+    by ``pow`` for a unit of Z_p and by ``_poly_inverse`` otherwise.
+    """
+    p = f.p
+    rel = N - v
+    N = N - 2 * v
+    if N < 1 or rel < 1:
+        raise PrecisionError("inverse has no significant digits")
+    pw = p ** (v + shift)  # p to the coefficient-level valuation
+    unit = [c // pw for c in coeffs]
+    if any(unit[1:]):
+        inv = _poly_inverse(unit, list(f.modulus), p, rel)
+        inv = inv + [0] * (f.m - len(inv))
+    else:  # a unit of Z_p
+        inv = [pow(unit[0], -1, p ** rel)] + [0] * (f.m - 1)
+    shift_out = max(v, 0)
+    scale = p ** (shift_out - v)
+    return [c * scale for c in inv], shift_out, N
+
+
+def _sum(p, xc, sx, yc, sy, sign):
+    """(coeffs, shift) of x + sign*y over the common denominator p^max(sx, sy)."""
+    if sx < sy:
+        k = p ** (sy - sx)
+        xc, sx = [c * k for c in xc], sy
+    elif sy < sx:
+        k = p ** (sx - sy)
+        yc = [c * k for c in yc]
+    if sign > 0:
+        return [u + w for u, w in zip(xc, yc)], sx
+    return [u - w for u, w in zip(xc, yc)], sx
 
 
 class PadicElement:
@@ -323,44 +411,25 @@ class PadicElement:
     The value is p^(-shift) * (c_0 + c_1*w + ... + c_{m-1}*w^{m-1}) with the
     c_i stored modulo p^(N+shift).  Since the basis 1, w, ..., w^{m-1} is an
     integral basis of the unramified extension, the valuation is the minimum
-    coefficient valuation minus the shift.
+    coefficient valuation minus the shift.  ``_normal`` gives the stored
+    form, and the valuation it finds is kept.
     """
 
-    __slots__ = ("field", "coeffs", "shift", "abs_precision")
+    __slots__ = ("field", "coeffs", "shift", "abs_precision", "_v")
 
     def __init__(self, field, coeffs, shift, abs_precision):
-        p = field.p
-        # normalize: pull p-powers out of the denominator when possible
-        coeffs = list(coeffs)
-        M = p ** (abs_precision + shift)
-        coeffs = [c % M for c in coeffs]
-        while shift > 0 and all(c % p == 0 for c in coeffs):
-            coeffs = [c // p for c in coeffs]
-            shift -= 1
         self.field = field
-        self.coeffs = tuple(coeffs)
-        self.shift = shift
-        self.abs_precision = abs_precision
+        self.coeffs, self.shift, self.abs_precision, self._v = _normal(
+            field.p, coeffs, shift, abs_precision)
 
     # -- queries ----------------------------------------------------------
 
     def valuation(self) -> Valuation:
         """Exact p-adic valuation, or AtLeast(N) when indistinguishable from 0."""
-        p = self.field.p
-        best = None
-        for c in self.coeffs:
-            if c:
-                v = 0
-                while c % p == 0:
-                    c //= p
-                    v += 1
-                best = v if best is None else min(best, v)
-        if best is None:
-            return AtLeast(self.abs_precision)
-        return best - self.shift
+        return AtLeast(self.abs_precision) if self._v is None else self._v
 
     def is_zero_at_precision(self):
-        return not any(self.coeffs)
+        return self._v is None
 
     def is_integral(self):
         v = self.valuation()
@@ -368,51 +437,29 @@ class PadicElement:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _align(self, other):
-        if self.field is not other.field and self.field != other.field:
+    def _plus(self, other, sign):
+        other = self._coerce(other)
+        f = self.field
+        if f is not other.field and f != other.field:
             raise ValueError("field mismatch")
-        s = max(self.shift, other.shift)
-        N = min(self.abs_precision, other.abs_precision)
-        return _scaled(self, s), _scaled(other, s), s, N
+        coeffs, s = _sum(f.p, self.coeffs, self.shift, other.coeffs, other.shift, sign)
+        return PadicElement(f, coeffs, s, min(self.abs_precision, other.abs_precision))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        a, b, s, N = self._align(other)
-        return PadicElement(self.field, [x + y for x, y in zip(a, b)], s, N)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        a, b, s, N = self._align(other)
-        return PadicElement(self.field, [x - y for x, y in zip(a, b)], s, N)
+        return self._plus(other, -1)
 
     def __neg__(self):
         return PadicElement(self.field, [-c for c in self.coeffs], self.shift, self.abs_precision)
 
-    def _valuation_or_precision(self):
-        """The exact valuation, or N for an element indistinguishable from 0."""
-        return self.valuation() if any(self.coeffs) else self.abs_precision
-
     def __mul__(self, other):
         other = self._coerce(other)
-        f = self.field
-        N = min(
-            self.abs_precision + other._valuation_or_precision(),
-            other.abs_precision + self._valuation_or_precision(),
-        )
-        if N < 1:
-            raise PrecisionError("product has no significant digits")
-        s = self.shift + other.shift
-        # A factor in Q_p scales the other one coefficient by coefficient;
-        # PadicElement reduces the scaled coefficients mod p^(N+s).
-        if not any(self.coeffs[1:]):
-            prod = [x * self.coeffs[0] for x in other.coeffs]
-        elif not any(other.coeffs[1:]):
-            prod = [x * other.coeffs[0] for x in self.coeffs]
-        else:
-            mod = f.p ** (N + s)
-            prod = _poly_mulmod(list(self.coeffs), list(other.coeffs), list(f.modulus), mod)
-            prod = prod + [0] * (f.m - len(prod))
-        return PadicElement(f, prod, s, N)
+        N = _product_precision(self.abs_precision, self._v, other.abs_precision, other._v)
+        # PadicElement reduces the product's coefficients mod p^(N+s)
+        prod = _mul_coeffs(self.field, self.coeffs, other.coeffs)
+        return PadicElement(self.field, prod, self.shift + other.shift, N)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -421,25 +468,10 @@ class PadicElement:
         return self._coerce(other) - self
 
     def inverse(self):
-        f = self.field
-        v = self.valuation()
-        if not is_exact(v):
+        if self._v is None:
             raise ZeroDivisionError("element indistinguishable from zero")
-        p = f.p
-        rel = self.abs_precision - v
-        N = self.abs_precision - 2 * v
-        if N < 1 or rel < 1:
-            raise PrecisionError("inverse has no significant digits")
-        pw = p ** (v + self.shift)  # p to the coefficient-level valuation
-        unit = [c // pw for c in self.coeffs]
-        if any(unit[1:]):
-            inv = _poly_inverse(unit, list(f.modulus), p, rel)
-            inv = inv + [0] * (f.m - len(inv))
-        else:  # a unit of Z_p
-            inv = [pow(unit[0], -1, p ** rel)] + [0] * (f.m - 1)
-        shift_out = max(v, 0)
-        scale = p ** (shift_out - v)
-        return PadicElement(f, [c * scale for c in inv], shift_out, N)
+        f = self.field
+        return PadicElement(f, *_inverse(f, self.coeffs, self.shift, self.abs_precision, self._v))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -717,20 +749,19 @@ def _split(v):
 
     ``vals[t]`` is the entry, or None when it is zero; ``nonzero`` holds the
     pairs (t, x) of the nonzero entries in increasing t; ``zeros`` maps each
-    precision N of a zero entry to the set of its positions.  ``e[t]`` is
-    e(x): N for a zero entry, and for a nonzero one None until ``_product``
-    needs the valuation and stores it there.
+    precision N of a zero entry to the set of its positions; ``e[t]`` is
+    e(x), the valuation of x or N for a zero x.
     """
     vals, nonzero, zeros, e = [], [], {}, []
     for t, x in enumerate(v):
-        if any(x.coeffs):
-            vals.append(x)
-            nonzero.append((t, x))
-            e.append(None)
-        else:
+        if x._v is None:
             vals.append(None)
             zeros.setdefault(x.abs_precision, set()).add(t)
             e.append(x.abs_precision)
+        else:
+            vals.append(x)
+            nonzero.append((t, x))
+            e.append(x._v)
     return vals, nonzero, zeros, e
 
 
@@ -740,11 +771,8 @@ def _product(rows, cols):
     The pairs with both factors nonzero are multiplied in increasing t, so
     each sum folds in the order of the dense loop.  A skipped product is
     zero, but it still caps the sum at the precision a*b would have had,
-    e(a) + e(b), where e(x) is the valuation of x, or N_x for a zero x
-    (capped-absolute precision, as in Caruso-Roe-Vaccon).  Each entry equals
-    the dense fold in coefficients, shift and precision.  e(x) is computed at
-    most once per entry, and only when a zero partner needs it, so a product
-    without zeros does no extra valuations.
+    which for a zero b is N_b + e(a) (``_product_precision``, as e(a) <= N_a),
+    so each entry equals the dense fold in coefficients, shift and precision.
     """
     rs = [_split(r) for r in rows]
     cs = [_split(c) for c in cols]
@@ -759,20 +787,12 @@ def _product(rows, cols):
                 if b is not None:
                     prod = a * b
                     acc = prod if acc is None else acc + prod
-                else:  # b is zero: N_b + e(a)
-                    e = a_e[t]
-                    if e is None:
-                        e = a_e[t] = a.valuation()
-                    if b_e[t] + e < cap:
-                        cap = b_e[t] + e
+                elif b_e[t] + a_e[t] < cap:  # b is zero: N_b + e(a)
+                    cap = b_e[t] + a_e[t]
             if a_zeros:
                 for t, b in b_nonzero:
-                    if a_vals[t] is None:  # a is zero: N_a + e(b)
-                        e = b_e[t]
-                        if e is None:
-                            e = b_e[t] = b.valuation()
-                        if a_e[t] + e < cap:
-                            cap = a_e[t] + e
+                    if a_vals[t] is None and a_e[t] + b_e[t] < cap:  # a is zero
+                        cap = a_e[t] + b_e[t]
                 for na, ta in a_zeros.items():  # both are zero: N_a + N_b
                     for nb, tb in b_zeros.items():
                         if na + nb < cap and not ta.isdisjoint(tb):
@@ -808,6 +828,26 @@ class SmithForm:
     rank: int
 
 
+def _times(f, a, b):
+    """a*b on kernel entries (coeffs, shift, N, v), normalized once."""
+    N = _product_precision(a[2], a[3], b[2], b[3])
+    return _normal(f.p, _mul_coeffs(f, a[0], b[0]), a[1] + b[1], N)
+
+
+def _fused(f, x, a, b, sign):
+    """x + sign*a*b on kernel entries, normalized once, at precision
+    min(N_x, N(a*b)); it raises where a*b raises, so it equals the element
+    fold field by field.  A zero factor only caps x."""
+    ac, sa, Na, va = a
+    bc, sb, Nb, vb = b
+    xc, sx, N, _ = x
+    Np = _product_precision(Na, va, Nb, vb)
+    if va is None or vb is None:
+        return x if N <= Np else _normal(f.p, xc, sx, Np)
+    coeffs, s = _sum(f.p, xc, sx, _mul_coeffs(f, ac, bc), sa + sb, sign)
+    return _normal(f.p, coeffs, s, N if N < Np else Np)
+
+
 def _reduce(M: PadicMatrix, track: bool):
     """Smith-style reduction with minimal-valuation pivoting.
 
@@ -815,78 +855,84 @@ def _reduce(M: PadicMatrix, track: bool):
     (L, Linv, R, Rinv) when ``track`` is true and None otherwise; the pivot
     choice and every update of the working matrix are the same either way,
     so the divisors (AtLeast markers included) do not depend on ``track``.
+    The loop runs on kernel entries (coeffs, shift, N, v) of ``_normal``:
+    each update is one ``_fused`` step, and a pivot is inverted once, only
+    if an entry needs clearing, so each entry equals the element fold
+    x - (e / pivot) * y and every PrecisionError is raised where it would.
+    PadicElements are built only for the pivots and transforms returned.
     """
     f = M.field
     r, c = M.nrows, M.ncols
     N = M.precision
-    work = [row[:] for row in M.rows]
+    work = [[(e.coeffs, e.shift, e.abs_precision, e._v) for e in row] for row in M.rows]
     if track:
-        L = PadicMatrix.identity(f, r, N)
-        Linv = PadicMatrix.identity(f, r, N)
-        R = PadicMatrix.identity(f, c, N)
-        Rinv = PadicMatrix.identity(f, c, N)
+        one = _normal(f.p, [1] + [0] * (f.m - 1), 0, N)
+        zero = _normal(f.p, [0] * f.m, 0, N)
+        L, Linv, R, Rinv = (
+            [[one if i == j else zero for j in range(n)] for i in range(n)]
+            for n in (r, r, c, c)
+        )
     divisors, pivots = [], []
-    k = 0
-    while k < min(r, c):
-        best = None
-        for i in range(k, r):
-            for j in range(k, c):
-                v = work[i][j].valuation()
-                if is_exact(v) and (best is None or v < best[0]):
-                    best = (v, i, j)
+    for k in range(min(r, c)):
+        # the first entry of least valuation, in row-major order
+        best = min(((row[j][3], i, j) for i, row in enumerate(work[k:], k)
+                    for j in range(k, c) if row[j][3] is not None), default=None)
         if best is None:
             break
         v, bi, bj = best
         if bi != k:
             work[k], work[bi] = work[bi], work[k]
             if track:
-                L.rows[k], L.rows[bi] = L.rows[bi], L.rows[k]
-                for row in Linv.rows:
+                L[k], L[bi] = L[bi], L[k]
+                for row in Linv:
                     row[k], row[bi] = row[bi], row[k]
         if bj != k:
             for row in work:
                 row[k], row[bj] = row[bj], row[k]
             if track:
-                for row in R.rows:
+                for row in R:
                     row[k], row[bj] = row[bj], row[k]
-                Rinv.rows[k], Rinv.rows[bj] = Rinv.rows[bj], Rinv.rows[k]
-        # The pivot is inverted once, and only if an entry needs clearing:
-        # a pivot with no significant inverse digits raises PrecisionError
-        # exactly where e / pivot would have.
-        pivot, pinv = work[k][k], None
+                Rinv[k], Rinv[bj] = Rinv[bj], Rinv[k]
+        wk = work[k]
+        pivot = wk[k]  # inverted once, and only if an entry needs clearing
+        if any(row[k][3] is not None for row in work[k + 1:]) or any(
+                e[3] is not None for e in wk[k + 1:]):
+            pinv = _normal(f.p, *_inverse(f, *pivot))
         for i in range(k + 1, r):
-            e = work[i][k]
-            if e.is_zero_at_precision():
+            wi = work[i]
+            if wi[k][3] is None:
                 continue
-            if pinv is None:
-                pinv = pivot.inverse()
-            fct = e * pinv
+            fct = _times(f, wi[k], pinv)
             for j in range(k, c):
-                work[i][j] = work[i][j] - fct * work[k][j]
+                wi[j] = _fused(f, wi[j], fct, wk[j], -1)
             if track:
+                Li, Lk = L[i], L[k]
                 for j in range(r):
-                    L.rows[i][j] = L.rows[i][j] - fct * L.rows[k][j]
-                    Linv.rows[j][k] = Linv.rows[j][k] + fct * Linv.rows[j][i]
+                    Li[j] = _fused(f, Li[j], fct, Lk[j], -1)
+                    row = Linv[j]
+                    row[k] = _fused(f, row[k], fct, row[i], 1)
         for j in range(k + 1, c):
-            e = work[k][j]
-            if e.is_zero_at_precision():
+            if wk[j][3] is None:
                 continue
-            if pinv is None:
-                pinv = pivot.inverse()
-            fct = e * pinv
-            for i in range(r):
-                work[i][j] = work[i][j] - work[i][k] * fct
+            fct = _times(f, wk[j], pinv)
+            for row in work:
+                row[j] = _fused(f, row[j], row[k], fct, -1)
             if track:
-                for i in range(c):
-                    R.rows[i][j] = R.rows[i][j] - R.rows[i][k] * fct
+                for row in R:
+                    row[j] = _fused(f, row[j], row[k], fct, -1)
+                Rk, Rj = Rinv[k], Rinv[j]
                 for jj in range(c):
-                    Rinv.rows[k][jj] = Rinv.rows[k][jj] + fct * Rinv.rows[j][jj]
+                    Rk[jj] = _fused(f, Rk[jj], fct, Rj[jj], 1)
         divisors.append(v)
         pivots.append(pivot)
-        k += 1
-    for _ in range(min(r, c) - k):
-        divisors.append(AtLeast(N))
-    return divisors, pivots, (L, Linv, R, Rinv) if track else None
+    divisors += [AtLeast(N)] * (min(r, c) - len(divisors))
+    pivots = [PadicElement(f, e[0], e[1], e[2]) for e in pivots]
+    if not track:
+        return divisors, pivots, None
+    return divisors, pivots, tuple(
+        PadicMatrix(f, [[PadicElement(f, e[0], e[1], e[2]) for e in row] for row in T])
+        for T in (L, Linv, R, Rinv)
+    )
 
 
 def smith_form(M: PadicMatrix) -> SmithForm:

@@ -261,9 +261,7 @@ def translate_point(point: ProjectivePoint, M: PadicMatrix) -> ProjectivePoint:
     """The image hyperplane {M v : v in the hyperplane}."""
     basis = M * point.basis
     sf = smith_form(basis)
-    n = M.nrows
-    normal = list(sf.L.rows[n - 1]) if sf.rank == n - 1 else list(sf.L.rows[-1])
-    return ProjectivePoint(basis, normal)
+    return ProjectivePoint(basis, list(sf.L.rows[-1]))
 
 
 def random_point(n, field: FieldDescriptor, seed, max_tries=200) -> PeriodMatrix:

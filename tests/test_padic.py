@@ -2,6 +2,8 @@
 Teichmueller lifts, Smith-style reduction, saturation, rank certification,
 characteristic polynomials, and JSON round-trips."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -781,6 +783,41 @@ def poly_inputs(draw):
     return a, b, f, mod
 
 
+def _plain_valuation(x):
+    """v(x) of a nonzero x from its coefficients by repeated division."""
+    p, vals = x.field.p, []
+    for c in x.coeffs:
+        if c:
+            v = 0
+            while c % p == 0:
+                c //= p
+                v += 1
+            vals.append(v)
+    return min(vals) - x.shift
+
+
+def _check_reduce_against_reference(M):
+    """_reduce(M, True) and _reduce(M, False) equal _reference_smith(M)
+    field by field, or all three raise PrecisionError; every exact divisor
+    is the valuation of its pivot, read from the pivot's coefficients."""
+    out = _same_outcome(_reference_smith, lambda A: _reduce(A, True), M)
+    if out is None:
+        with pytest.raises(PrecisionError):
+            _reduce(M, False)
+        return
+    (div, piv, mats), (got_div, got_piv, got_mats) = out
+    assert got_div == div
+    assert [type(d) for d in got_div] == [type(d) for d in div]
+    assert all(_same_element(x, y) for x, y in zip(got_piv, piv, strict=True))
+    for ref, got in zip(mats, got_mats):
+        for rr, rg in zip(ref, got.rows, strict=True):
+            assert all(_same_element(x, y) for x, y in zip(rr, rg, strict=True))
+    rank_only = _reduce(M, False)
+    assert rank_only[0] == div
+    assert all(_same_element(x, y) for x, y in zip(rank_only[1], piv, strict=True))
+    assert [_plain_valuation(x) for x in got_piv] == [d for d in got_div if is_exact(d)]
+
+
 def _same_outcome(reference, fast, *args):
     """fast(*args) equals reference(*args) field by field, or both raise the
     same exception type."""
@@ -828,21 +865,7 @@ class TestQpScalars:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(sparse_matrices(), elimination_inputs()))
     def test_elimination_matches_division_per_entry(self, M):
-        out = _same_outcome(_reference_smith, lambda A: _reduce(A, True), M)
-        if out is None:
-            with pytest.raises(PrecisionError):
-                _reduce(M, False)
-            return
-        (div, piv, mats), (got_div, got_piv, got_mats) = out
-        assert got_div == div
-        assert [type(d) for d in got_div] == [type(d) for d in div]
-        assert all(_same_element(x, y) for x, y in zip(got_piv, piv, strict=True))
-        for ref, got in zip(mats, got_mats):
-            for rr, rg in zip(ref, got.rows, strict=True):
-                assert all(_same_element(x, y) for x, y in zip(rr, rg, strict=True))
-        rank_only = _reduce(M, False)
-        assert rank_only[0] == div
-        assert all(_same_element(x, y) for x, y in zip(rank_only[1], piv, strict=True))
+        _check_reduce_against_reference(M)
 
     def test_pivot_without_inverse_digits_and_nothing_to_clear(self):
         # v(8) = 3 at precision 4: 1/8 would have precision 4 - 6 < 1
@@ -858,6 +881,143 @@ class TestQpScalars:
             smith_form(PadicMatrix(f, [[x, x]]))
         with pytest.raises(PrecisionError):
             _reference_smith(PadicMatrix(f, [[x, x]]))
+
+
+@st.composite
+def odd_p_entries(draw, f):
+    """An entry over Q_3.. or Q_5..: precision 2..PREC, often zero or
+    p-divisible, shift 0-3, sometimes without w-part."""
+    p, N = f.p, draw(st.integers(2, PREC))
+    if draw(st.integers(0, 3)) == 0:
+        return f.zero(N)
+    v = draw(st.sampled_from([0, 0, 1, 2, 3]))
+    coeffs = [draw(st.integers(0, p ** N - 1)) * p ** v for _ in range(f.m)]
+    if draw(st.booleans()):
+        coeffs[1:] = [0] * (f.m - 1)
+    return f.from_coeffs(coeffs, N, draw(st.sampled_from([0, 0, 1, 2, 3])))
+
+
+@st.composite
+def odd_p_matrices(draw):
+    """r x c matrices over Q_{p^m}, p in {3, 5}, m in {1, 2, 3}; or, half
+    of the time, a product A*B through a smaller inner dimension, whose
+    rank is deficient."""
+    p, m = draw(st.sampled_from([3, 5])), draw(st.sampled_from([1, 2, 3]))
+    f = make_field_cached(p, m, PREC)
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = odd_p_entries(f)
+    if min(r, c) == 1 or draw(st.booleans()):
+        return PadicMatrix(f, [[draw(entries) for _ in range(c)] for _ in range(r)])
+    k = draw(st.integers(1, min(r, c) - 1))
+    A = PadicMatrix(f, [[draw(entries) for _ in range(k)] for _ in range(r)])
+    B = PadicMatrix(f, [[draw(entries) for _ in range(c)] for _ in range(k)])
+    try:
+        return A * B
+    except PrecisionError:
+        assume(False)
+
+
+class TestOddPrimeElimination:
+    """The elimination kernel's valuation for p != 2, against the reference
+    elimination and against valuations read off the pivots' coefficients."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(odd_p_matrices())
+    def test_matches_reference_per_entry(self, M):
+        _check_reduce_against_reference(M)
+
+
+def _int_det(A):
+    """Determinant of a square integer matrix by cofactor expansion."""
+    if len(A) == 1:
+        return A[0][0]
+    return sum((-1) ** j * A[0][j] * _int_det([row[:j] + row[j + 1:] for row in A[1:]])
+               for j in range(len(A)))
+
+
+def _smith_oracle(A, p):
+    """p-adic valuations of the Smith invariants of the integer matrix A over
+    Z, None for a zero invariant: d_k is the gcd of the k x k minors and the
+    k-th invariant is d_k / d_(k-1)."""
+    r, c = len(A), len(A[0])
+    d = [1]
+    for k in range(1, min(r, c) + 1):
+        g = 0
+        for rows in itertools.combinations(range(r), k):
+            for cols in itertools.combinations(range(c), k):
+                g = math.gcd(g, _int_det([[A[i][j] for j in cols] for i in rows]))
+        d.append(g)
+
+    def v(n):
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        return e
+
+    return [None if d[k] == 0 else v(d[k]) - v(d[k - 1]) for k in range(1, len(d))]
+
+
+@st.composite
+def integer_matrices(draw):
+    """(p, rows): up to 4 x 4 integer matrices, p in {2, 3}, entries often
+    p-divisible, sometimes of deficient rank (a repeated or doubled row)."""
+    p = draw(st.sampled_from([2, 3]))
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.builds(lambda u, e: u * p ** e, st.integers(-30, 30),
+                      st.sampled_from([0, 0, 1, 2, 5]))
+    rows = [[draw(entry) for _ in range(c)] for _ in range(r)]
+    if r > 1 and draw(st.booleans()):
+        rows[-1] = [x * draw(st.sampled_from([1, p, -p ** 2])) for x in rows[0]]
+    return p, rows
+
+
+class TestSmithOracle:
+    """certified_rank over Q_p on integer matrices against the Smith form
+    over Z, computed from gcds of minors without the library."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(integer_matrices(), st.sampled_from([4, 8, 16]))
+    def test_divisors_are_the_p_parts_of_the_smith_invariants(self, inputs, N):
+        p, rows = inputs
+        f = make_field_cached(p, 1, N)
+        try:
+            _, divisors = certified_rank(PadicMatrix.from_ints(f, rows))
+        except PrecisionError:  # a pivot of valuation >= N/2 has no inverse digits
+            return
+        oracle = _smith_oracle(rows, p)
+        assert len(divisors) == len(oracle)
+        for d, o in zip(divisors, oracle):
+            if is_exact(d):
+                assert d == o
+            else:
+                assert o is None or o >= d.n
+
+
+def test_elimination_makes_no_element_arithmetic(monkeypatch):
+    """smith_form and certified_rank run on flat entries: no element product
+    or inverse, here on a 3 x 3 matrix over Q_8 that needs every kind of
+    update (a pivot with a w-part, shifts, entries to clear)."""
+    f = make_field_cached(2, 3, PREC)
+    M = PadicMatrix(f, [
+        [f.from_coeffs([6, 1, 3], PREC, 1), f.from_coeffs([5, 2]), f.from_coeffs([4])],
+        [f.from_coeffs([1, 1, 1]), f.from_coeffs([12, 0, 2], PREC, 2), f.from_coeffs([0, 8])],
+        [f.from_coeffs([7]), f.from_coeffs([2, 6, 1]), f.from_coeffs([3, 3], PREC, 1)],
+    ])
+    calls = []
+    for name in ("__mul__", "__rmul__", "inverse"):
+        def spy(self, *args, _orig=getattr(PadicElement, name), _name=name):
+            calls.append(_name)
+            return _orig(self, *args)
+
+        monkeypatch.setattr(PadicElement, name, spy)
+    sf = smith_form(M)
+    rank, divisors = certified_rank(M)
+    assert calls == []
+    assert rank == sf.rank == 3 and divisors == sf.divisors
+    M.rows[0][0] * M.rows[0][1]
+    M.rows[0][0].inverse()
+    assert calls == ["__mul__", "inverse"]
 
 
 class TestSaturate:
