@@ -182,6 +182,14 @@ def build_DG(n, precision=32, base_p=2):
     return SpecialModel(n, coeff_field, V, phi)
 
 
+def _orbit(x, m):
+    """[x, sigma(x), ..., sigma^(m-1)(x)]: sigma^k(x) is entry k % m."""
+    orbit = [x]
+    for _ in range(m - 1):
+        orbit.append(orbit[-1].frobenius())
+    return orbit
+
+
 def iota_matrix(model: LubinTateModel, d):
     """Matrix of left multiplication by d = sum_i a_i Pi^i on the rank-n model.
 
@@ -201,10 +209,11 @@ def iota_matrix(model: LubinTateModel, d):
     for i, a in enumerate(coeffs):
         if a.is_zero_at_precision():
             continue
+        orbit = _orbit(a, f.m)
         for j in range(n):
             k = (i + j) % n
             carry = (i + j) // n
-            term = a.frobenius_iterate(-(i + j) % f.m if f.m > 1 else 0)
+            term = orbit[-(i + j) % f.m]
             if carry:
                 term = term * (p ** carry)
             rows[k][j] = rows[k][j] + term
@@ -226,13 +235,14 @@ def dg_iota_matrix(model: SpecialModel, d):
     for i, x in enumerate(coeffs):
         if x.is_zero_at_precision():
             continue
+        orbit = _orbit(x, f.m)
         for a in range(n):
             for b in range(n):
                 src = a * n + b
                 dst = a * n + (b + i) % n
                 carry = (b + i) // n
                 grade = model.grading(dst)
-                term = x.frobenius_iterate(-grade % f.m if f.m > 1 else 0)
+                term = orbit[-grade % f.m]
                 if carry:
                     term = term * (p ** carry)
                 rows[dst][src] = rows[dst][src] + term
@@ -245,6 +255,7 @@ def od_multiply(model: LubinTateModel, d1, d2):
     f = model.field
     a = [c if isinstance(c, PadicElement) else f.from_int(c) for c in d1]
     b = [c if isinstance(c, PadicElement) else f.from_int(c) for c in d2]
+    orbits = [_orbit(y, f.m) for y in b]
     out = [f.zero() for _ in range(n)]
     p = f.p
     for i in range(n):
@@ -252,7 +263,7 @@ def od_multiply(model: LubinTateModel, d1, d2):
             k = (i + j) % n
             carry = (i + j) // n
             # Pi^i b = sigma^i(b) Pi^i under the rule a Pi = Pi sigma^{-1}(a)
-            term = a[i] * b[j].frobenius_iterate(i % f.m if f.m > 1 else 0)
+            term = a[i] * orbits[j][i % f.m]
             if carry:
                 term = term * (p ** carry)
             out[k] = out[k] + term

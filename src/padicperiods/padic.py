@@ -209,11 +209,11 @@ class FieldDescriptor:
 
     @cached_property
     def powers(self):
-        """w^m, ..., w^(2m-2) modulo the modulus over Z, as coefficient lists."""
+        """w^m, ..., w^(2m-2) modulo the modulus over Z, as nonzero terms (i, c)."""
         m, f = self.m, self.modulus
         out, cur = [], [-c for c in f[:m]]  # w^m
         for _ in range(m - 1):
-            out.append(cur)
+            out.append([(i, c) for i, c in enumerate(cur) if c])
             cur = [c - cur[-1] * fc for c, fc in zip([0] + cur[:-1], f)]  # w * cur
         return out
 
@@ -363,7 +363,7 @@ def _mul_coeffs(f, a, b):
     out = prod[:m]
     for h, row in zip(prod[m:], f.powers):
         if h:
-            for i, t in enumerate(row):
+            for i, t in row:
                 out[i] += h * t
     return out
 
@@ -372,14 +372,13 @@ def _inverse(f, coeffs, shift, N, v):
     """(coeffs, shift, N) of 1/x, before normalization, for x = p^-shift *
     coeffs of exact valuation v at precision N.
 
-    1/x has precision N - 2v; its unit part is inverted modulo p^(N - v),
-    by ``pow`` for a unit of Z_p and by ``_poly_inverse`` otherwise.
+    1/x has precision N - 2v, which may be < 1 while y/x has digits; its
+    unit part is inverted modulo p^(N - v) (v < N), by ``pow`` for a unit
+    of Z_p and by ``_poly_inverse`` otherwise.
     """
     p = f.p
     rel = N - v
     N = N - 2 * v
-    if N < 1 or rel < 1:
-        raise PrecisionError("inverse has no significant digits")
     pw = p ** (v + shift)  # p to the coefficient-level valuation
     unit = [c // pw for c in coeffs]
     if any(unit[1:]):
@@ -471,10 +470,20 @@ class PadicElement:
         if self._v is None:
             raise ZeroDivisionError("element indistinguishable from zero")
         f = self.field
-        return PadicElement(f, *_inverse(f, self.coeffs, self.shift, self.abs_precision, self._v))
+        coeffs, shift, N = _inverse(f, self.coeffs, self.shift, self.abs_precision, self._v)
+        if N < 1:
+            raise PrecisionError("inverse has no significant digits")
+        return PadicElement(f, coeffs, shift, N)
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+        """x/y at min(N_x - v_y, N_y - 2v_y + e(x)), digits 1/y may lack."""
+        y = self._coerce(other)
+        if y._v is None:
+            raise ZeroDivisionError("element indistinguishable from zero")
+        f = self.field
+        coeffs, shift, N = _inverse(f, y.coeffs, y.shift, y.abs_precision, y._v)
+        N = _product_precision(self.abs_precision, self._v, N, -y._v)
+        return PadicElement(f, _mul_coeffs(f, self.coeffs, coeffs), self.shift + shift, N)
 
     def __pow__(self, e):
         if e < 0:
@@ -612,14 +621,19 @@ def field_embedding(sub: FieldDescriptor, big: FieldDescriptor):
 
 
 def embed_element(x: PadicElement, big: FieldDescriptor, gen_image=None):
-    """Map x from its field into ``big`` along a fixed embedding."""
+    """Map x from its field into ``big`` along a fixed embedding: sum c_i g^i
+    over Z for the unit g = ``gen_image``, normalized once at
+    min(N_x, N_big, N_g), which is min(N_x, N_big) for ``field_embedding``'s g."""
     if gen_image is None:
         gen_image = field_embedding(x.field, big)
-    acc = big.zero(min(x.abs_precision, big.precision))
-    powg = big.one()
-    for c in x.coeffs:
-        acc = acc + powg * big.from_int(c)
-        powg = powg * gen_image
+    mod = big.p ** big.precision
+    acc, powg = [0] * big.m, [1] + [0] * (big.m - 1)
+    for i, c in enumerate(x.coeffs):
+        if i:
+            powg = [y % mod for y in _mul_coeffs(big, powg, gen_image.coeffs)]
+        if c:
+            acc = [a + c * y for a, y in zip(acc, powg)]
+    acc = PadicElement(big, acc, 0, min(x.abs_precision, big.precision, gen_image.abs_precision))
     if x.shift:
         acc = acc * big.from_int(x.field.p ** x.shift).inverse()
     return acc
@@ -664,10 +678,6 @@ class PadicMatrix:
     def precision(self):
         return min(e.abs_precision for r in self.rows for e in r)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def transpose(self):
         return PadicMatrix(self.field, list(map(list, zip(*self.rows))))
 
@@ -687,9 +697,6 @@ class PadicMatrix:
         if isinstance(other, PadicMatrix):
             return PadicMatrix(self.field, _product(self.rows, list(zip(*other.rows))))
         return PadicMatrix(self.field, [[e * other for e in r] for r in self.rows])
-
-    def scale(self, x):
-        return PadicMatrix(self.field, [[e * x for e in r] for r in self.rows])
 
     def map_frobenius(self, k=1):
         return PadicMatrix(
@@ -747,10 +754,10 @@ _INF = float("inf")
 def _split(v):
     """(vals, nonzero, zeros, e) of a vector of elements, each flag read once.
 
-    ``vals[t]`` is the entry, or None when it is zero; ``nonzero`` holds the
-    pairs (t, x) of the nonzero entries in increasing t; ``zeros`` maps each
-    precision N of a zero entry to the set of its positions; ``e[t]`` is
-    e(x), the valuation of x or N for a zero x.
+    ``vals[t]`` is the entry as (coeffs, shift, N, v), or None when it is
+    zero; ``nonzero`` holds the pairs (t, vals[t]) of the nonzero entries in
+    increasing t; ``zeros`` maps each precision N of a zero entry to the set
+    of its positions; ``e[t]`` is e(x), the valuation of x or N for a zero x.
     """
     vals, nonzero, zeros, e = [], [], {}, []
     for t, x in enumerate(v):
@@ -759,8 +766,9 @@ def _split(v):
             zeros.setdefault(x.abs_precision, set()).add(t)
             e.append(x.abs_precision)
         else:
-            vals.append(x)
-            nonzero.append((t, x))
+            entry = (x.coeffs, x.shift, x.abs_precision, x._v)
+            vals.append(entry)
+            nonzero.append((t, entry))
             e.append(x._v)
     return vals, nonzero, zeros, e
 
@@ -768,25 +776,34 @@ def _split(v):
 def _product(rows, cols):
     """The sums rows[i] . cols[j] for all i, j, multiplying only nonzero pairs.
 
-    The pairs with both factors nonzero are multiplied in increasing t, so
-    each sum folds in the order of the dense loop.  A skipped product is
+    Each sum adds the ``_mul_coeffs`` of its nonzero pairs over a common
+    denominator (``_sum``) and is normalized once, at the least product
+    precision (``_product_precision``) of those pairs.  A skipped product is
     zero, but it still caps the sum at the precision a*b would have had,
-    which for a zero b is N_b + e(a) (``_product_precision``, as e(a) <= N_a),
-    so each entry equals the dense fold in coefficients, shift and precision.
+    which for a zero b is N_b + e(a) (as e(a) <= N_a).  ``_normal`` depends
+    only on the value mod p^N and on N, so each entry equals the dense fold
+    of element products in coefficients, shift and precision.
     """
     rs = [_split(r) for r in rows]
     cs = [_split(c) for c in cols]
     zero_at = {}  # one zero element per cap; elements are never mutated
     out = []
     for row, (a_vals, a_nonzero, a_zeros, a_e) in zip(rows, rs):
+        f = row[0].field
         out_row = []
         for b_vals, b_nonzero, b_zeros, b_e in cs:
             acc, cap = None, _INF
-            for t, a in a_nonzero:
+            for t, (ac, sa, Na, va) in a_nonzero:
                 b = b_vals[t]
                 if b is not None:
-                    prod = a * b
-                    acc = prod if acc is None else acc + prod
+                    bc, sb, Nb, vb = b
+                    N = _product_precision(Na, va, Nb, vb)
+                    if N < cap:
+                        cap = N
+                    if acc is None:
+                        acc, s = _mul_coeffs(f, ac, bc), sa + sb
+                    else:
+                        acc, s = _sum(f.p, acc, s, _mul_coeffs(f, ac, bc), sa + sb, 1)
                 elif b_e[t] + a_e[t] < cap:  # b is zero: N_b + e(a)
                     cap = b_e[t] + a_e[t]
             if a_zeros:
@@ -800,12 +817,11 @@ def _product(rows, cols):
             if cap < 1:
                 raise PrecisionError("product has no significant digits")
             if acc is None:
-                acc = zero_at.get(cap)
-                if acc is None:
-                    acc = zero_at[cap] = row[0].field.zero(cap)
-            elif cap < acc.abs_precision:
-                acc = PadicElement(acc.field, acc.coeffs, acc.shift, cap)
-            out_row.append(acc)
+                if cap not in zero_at:
+                    zero_at[cap] = f.zero(cap)
+                out_row.append(zero_at[cap])
+            else:
+                out_row.append(PadicElement(f, acc, s, cap))
         out.append(out_row)
     return out
 
@@ -857,9 +873,10 @@ def _reduce(M: PadicMatrix, track: bool):
     so the divisors (AtLeast markers included) do not depend on ``track``.
     The loop runs on kernel entries (coeffs, shift, N, v) of ``_normal``:
     each update is one ``_fused`` step, and a pivot is inverted once, only
-    if an entry needs clearing, so each entry equals the element fold
-    x - (e / pivot) * y and every PrecisionError is raised where it would.
-    PadicElements are built only for the pivots and transforms returned.
+    if an entry needs clearing.  The clearing factor e / pivot has the
+    quotient's precision, which 1/pivot may lack, so each entry equals the
+    element fold x - (e / pivot) * y and every PrecisionError is raised
+    where it would.  Only the pivots and transforms become PadicElements.
     """
     f = M.field
     r, c = M.nrows, M.ncols
@@ -897,7 +914,7 @@ def _reduce(M: PadicMatrix, track: bool):
         pivot = wk[k]  # inverted once, and only if an entry needs clearing
         if any(row[k][3] is not None for row in work[k + 1:]) or any(
                 e[3] is not None for e in wk[k + 1:]):
-            pinv = _normal(f.p, *_inverse(f, *pivot))
+            pinv = (*_inverse(f, *pivot), -pivot[3])
         for i in range(k + 1, r):
             wi = work[i]
             if wi[k][3] is None:
