@@ -370,12 +370,14 @@ def _mul_coeffs(f, a, b):
 
 def _inverse(f, coeffs, shift, N, v):
     """(coeffs, shift, N) of 1/x, before normalization, for x = p^-shift *
-    coeffs of exact valuation v at precision N.
+    coeffs of valuation v at precision N (ZeroDivisionError for v None).
 
     1/x has precision N - 2v, which may be < 1 while y/x has digits; its
     unit part is inverted modulo p^(N - v) (v < N), by ``pow`` for a unit
     of Z_p and by ``_poly_inverse`` otherwise.
     """
+    if v is None:
+        raise ZeroDivisionError("element indistinguishable from zero")
     p = f.p
     rel = N - v
     N = N - 2 * v
@@ -431,8 +433,7 @@ class PadicElement:
         return self._v is None
 
     def is_integral(self):
-        v = self.valuation()
-        return v >= 0 if is_exact(v) else True
+        return self._v is None or self._v >= 0
 
     # -- arithmetic -------------------------------------------------------
 
@@ -467,8 +468,6 @@ class PadicElement:
         return self._coerce(other) - self
 
     def inverse(self):
-        if self._v is None:
-            raise ZeroDivisionError("element indistinguishable from zero")
         f = self.field
         coeffs, shift, N = _inverse(f, self.coeffs, self.shift, self.abs_precision, self._v)
         if N < 1:
@@ -478,8 +477,6 @@ class PadicElement:
     def __truediv__(self, other):
         """x/y at min(N_x - v_y, N_y - 2v_y + e(x)), digits 1/y may lack."""
         y = self._coerce(other)
-        if y._v is None:
-            raise ZeroDivisionError("element indistinguishable from zero")
         f = self.field
         coeffs, shift, N = _inverse(f, y.coeffs, y.shift, y.abs_precision, y._v)
         N = _product_precision(self.abs_precision, self._v, N, -y._v)
@@ -621,19 +618,15 @@ def field_embedding(sub: FieldDescriptor, big: FieldDescriptor):
 
 
 def embed_element(x: PadicElement, big: FieldDescriptor, gen_image=None):
-    """Map x from its field into ``big`` along a fixed embedding: sum c_i g^i
-    over Z for the unit g = ``gen_image``, normalized once at
-    min(N_x, N_big, N_g), which is min(N_x, N_big) for ``field_embedding``'s g."""
+    """Map x into ``big`` along a fixed embedding: sum c_i g^i for the unit
+    g = ``gen_image``, at min(N_x, N_big) and N_g + v(c_i) for each i >= 1."""
     if gen_image is None:
         gen_image = field_embedding(x.field, big)
-    mod = big.p ** big.precision
-    acc, powg = [0] * big.m, [1] + [0] * (big.m - 1)
-    for i, c in enumerate(x.coeffs):
-        if i:
-            powg = [y % mod for y in _mul_coeffs(big, powg, gen_image.coeffs)]
-        if c:
-            acc = [a + c * y for a, y in zip(acc, powg)]
-    acc = PadicElement(big, acc, 0, min(x.abs_precision, big.precision, gen_image.abs_precision))
+    N, Ng = min(x.abs_precision, big.precision), gen_image.abs_precision
+    if Ng < N:
+        N = min([N] + [Ng + _valuation(big.p, [c]) for c in x.coeffs[1:] if c])
+    acc = _poly_eval_poly(x.coeffs, gen_image.coeffs, big.modulus, big.p ** big.precision)
+    acc = PadicElement(big, acc + [0] * (big.m - len(acc)), 0, N)
     if x.shift:
         acc = acc * big.from_int(x.field.p ** x.shift).inverse()
     return acc
@@ -833,6 +826,8 @@ class SmithForm:
     ``divisors`` are the elementary divisor valuations in non-decreasing
     order; entries indistinguishable from zero produce AtLeast markers.
     ``pivots`` holds the actual diagonal elements for the exact divisors.
+    ``pivots_invertible`` is False when a pivot that cleared entries has no
+    inverse digits (N - 2v < 1): L*M*R, L*Linv, R*Rinv may then have none.
     """
 
     divisors: list
@@ -842,6 +837,7 @@ class SmithForm:
     R: PadicMatrix
     Rinv: PadicMatrix
     rank: int
+    pivots_invertible: bool
 
 
 def _times(f, a, b):
@@ -867,10 +863,10 @@ def _fused(f, x, a, b, sign):
 def _reduce(M: PadicMatrix, track: bool):
     """Smith-style reduction with minimal-valuation pivoting.
 
-    Returns (divisors, pivots, transforms).  ``transforms`` is the tuple
-    (L, Linv, R, Rinv) when ``track`` is true and None otherwise; the pivot
-    choice and every update of the working matrix are the same either way,
-    so the divisors (AtLeast markers included) do not depend on ``track``.
+    Returns (divisors, pivots, transforms): ``transforms`` is (L, Linv, R,
+    Rinv, pivots_invertible) of ``SmithForm`` if ``track``, else None.  The
+    pivot choice and every update of the working matrix are the same either
+    way, so the divisors (AtLeast markers included) do not depend on it.
     The loop runs on kernel entries (coeffs, shift, N, v) of ``_normal``:
     each update is one ``_fused`` step, and a pivot is inverted once, only
     if an entry needs clearing.  The clearing factor e / pivot has the
@@ -889,7 +885,7 @@ def _reduce(M: PadicMatrix, track: bool):
             [[one if i == j else zero for j in range(n)] for i in range(n)]
             for n in (r, r, c, c)
         )
-    divisors, pivots = [], []
+    divisors, pivots, invertible = [], [], True
     for k in range(min(r, c)):
         # the first entry of least valuation, in row-major order
         best = min(((row[j][3], i, j) for i, row in enumerate(work[k:], k)
@@ -915,6 +911,7 @@ def _reduce(M: PadicMatrix, track: bool):
         if any(row[k][3] is not None for row in work[k + 1:]) or any(
                 e[3] is not None for e in wk[k + 1:]):
             pinv = (*_inverse(f, *pivot), -pivot[3])
+            invertible = invertible and pinv[2] >= 1
         for i in range(k + 1, r):
             wi = work[i]
             if wi[k][3] is None:
@@ -946,16 +943,16 @@ def _reduce(M: PadicMatrix, track: bool):
     pivots = [PadicElement(f, e[0], e[1], e[2]) for e in pivots]
     if not track:
         return divisors, pivots, None
-    return divisors, pivots, tuple(
+    return divisors, pivots, (*(
         PadicMatrix(f, [[PadicElement(f, e[0], e[1], e[2]) for e in row] for row in T])
         for T in (L, Linv, R, Rinv)
-    )
+    ), invertible)
 
 
 def smith_form(M: PadicMatrix) -> SmithForm:
     """Smith-style reduction with minimal-valuation pivoting and transforms."""
-    divisors, pivots, (L, Linv, R, Rinv) = _reduce(M, True)
-    return SmithForm(divisors, pivots, L, Linv, R, Rinv, len(pivots))
+    divisors, pivots, (L, Linv, R, Rinv, invertible) = _reduce(M, True)
+    return SmithForm(divisors, pivots, L, Linv, R, Rinv, len(pivots), invertible)
 
 
 def rank_below(divisors, threshold):

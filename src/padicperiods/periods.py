@@ -85,6 +85,8 @@ def from_matrix(X: PadicMatrix) -> PeriodMatrix:
     if X.ncols != n:
         raise ValueError("matrix must be square")
     sf = smith_form(X)
+    if not sf.pivots_invertible:  # transforms too coarse to certify the point
+        raise PrecisionError("inverse has no significant digits")
     rank = rank_below(sf.divisors, X.precision)
     if rank == n:
         raise RankCertificationError("full_rank", sf.divisors)
@@ -130,6 +132,7 @@ def correspond(pm: PeriodMatrix) -> PeriodMatrix:
         sf.L.transpose(),
         sf.Linv.transpose(),
         sf.rank,
+        sf.pivots_invertible,
     )
     return PeriodMatrix(pm.X.transpose(), pm.n, sf_t)
 
@@ -261,6 +264,8 @@ def translate_point(point: ProjectivePoint, M: PadicMatrix) -> ProjectivePoint:
     """The image hyperplane {M v : v in the hyperplane}."""
     basis = M * point.basis
     sf = smith_form(basis)
+    if not sf.pivots_invertible:
+        raise PrecisionError("inverse has no significant digits")
     return ProjectivePoint(basis, list(sf.L.rows[-1]))
 
 

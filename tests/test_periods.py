@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from padicperiods.padic import PadicMatrix, certified_rank, make_field_cached
+from padicperiods.padic import (
+    AtLeast,
+    PadicMatrix,
+    PrecisionError,
+    certified_rank,
+    make_field_cached,
+)
 from padicperiods.models import build_DH, iota_matrix, od_multiply
 from padicperiods.periods import (
     OmegaVerdict,
@@ -52,6 +58,20 @@ class TestFromMatrix:
     def test_rejects_non_square(self, K):
         with pytest.raises(ValueError):
             from_matrix(PadicMatrix.from_ints(K, [[1, 0]]))
+
+    def test_rejects_clearing_pivot_without_inverse_digits(self):
+        # v(8) = 3 at precision 4: 8 / 8 = 1 + O(2) clears the other entries,
+        # so the rank is certified, but 1/8 has no digit and the transforms
+        # are too coarse to certify the filtrations read from them
+        f = make_field_cached(2, 1, 4)
+        X = PadicMatrix.from_ints(f, [[8, 8], [8, 8]])
+        assert certified_rank(X) == (1, [3, AtLeast(4)])
+        assert not X.smith_form().pivots_invertible
+        with pytest.raises(PrecisionError):
+            from_matrix(X)
+        line = ProjectivePoint(PadicMatrix.from_ints(f, [[1], [1]]), [f.one(), -f.one()])
+        with pytest.raises(PrecisionError):
+            translate_point(line, PadicMatrix.from_ints(f, [[8, 0], [0, 8]]))
 
 
 class TestFiltrations:
