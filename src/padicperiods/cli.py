@@ -238,6 +238,9 @@ def cmd_formal_group(args):
     if p < 2 or h < 1:
         print(f"formal-group: need --p >= 2 and --h >= 1 (got p={p}, h={h})", file=sys.stderr)
         return EXIT_BAD_FLAGS
+    if not _is_prime(p):
+        print(f"formal-group: --p must be a prime (got p={p})", file=sys.stderr)
+        return EXIT_BAD_FLAGS
     if D is None:
         D = p ** h + p
     if D < p ** h:

@@ -2,17 +2,100 @@
 with logarithm f(T) = sum_n T^{p^{nh}} / p^n: the group law, the [p]-series
 with its height certificate, and the roots-of-unity action.
 
-Coefficients are exact rationals; series are dense lists truncated at a
-fixed degree (total degree for bivariate laws), and every operation
-preserves the truncation degree exactly.
+Coefficients are exact rationals, truncated at a fixed (total) degree.  The
+kernels hold a series as integers over one common denominator, as FLINT's
+fmpq_poly does; Fractions are built only for what public functions return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .ledger import _frac_str
+
+_ZERO = Fraction(0)
+
+
+def _ints(items):
+    """Nonzero (key, rational) pairs as numerators over their least denominator."""
+    items = [(k, c) for k, c in items if c]
+    den = lcm(*(c.denominator for _, c in items))
+    return {k: c.numerator * (den // c.denominator) for k, c in items}, den
+
+
+def _series(coeffs):
+    """Dense univariate coefficients as numerators of X^k, key (k, 0)."""
+    return _ints(((k, 0), c) for k, c in enumerate(coeffs))
+
+
+def _lowest(c, den):
+    """c/den in lowest terms, zero numerators dropped."""
+    c = {k: v for k, v in c.items() if v}
+    g = gcd(den, *c.values())
+    return ({k: v // g for k, v in c.items()}, den // g) if g > 1 else (c, den)
+
+
+def _axpy(acc, dacc, a, da, x, dx):
+    """acc/dacc + (a/da) * (x/dx) over the least common denominator."""
+    L = lcm(dacc, da * dx)
+    s, t = L // dacc, a * (L // (da * dx))
+    out = {k: v * s for k, v in acc.items()}
+    for k, v in x.items():
+        out[k] = out.get(k, 0) + t * v
+    return _lowest(out, L)
+
+
+def _mul(a, da, b, db, D):
+    """(a/da)(b/db) truncated at total degree D; X^i Y^j is the key (i, j),
+    so a univariate series lives in X alone."""
+    out = {}
+    for (i1, j1), x in a.items():
+        for (i2, j2), y in b.items():
+            if i1 + i2 + j1 + j2 <= D:
+                k = (i1 + i2, j1 + j2)
+                out[k] = out.get(k, 0) + x * y
+    return _lowest(out, da * db)
+
+
+def _compose(g, dg, s, ds, D):
+    """g(s) = sum_k g_k s^k truncated at total degree D, for g/dg in X alone
+    with degrees <= D."""
+    acc, dacc = {(0, 0): g.get((0, 0), 0)}, dg
+    power, dpow = {(0, 0): 1}, 1
+    for k in range(1, max((i for i, _ in g), default=0) + 1):
+        power, dpow = _mul(power, dpow, s, ds, D)
+        if (k, 0) in g:
+            acc, dacc = _axpy(acc, dacc, g[k, 0], dg, power, dpow)
+    return _lowest(acc, dacc)
+
+
+def _reversion(f, df, D):
+    """g/dg with g(f(X)) = X + O(X^(D+1)) for f/df = X + O(X^2): since
+    [f^k]_k = 1, g_k = -sum_{j<k} g_j [f^j]_k."""
+    powers = [(f, df)]
+    for _ in range(2, D):
+        powers.append(_mul(*powers[-1], f, df, D))
+    E = lcm(*(d for _, d in powers))
+    powers = [{k: v * (E // d) for k, v in c.items()} for c, d in powers]
+    g, dg = {(1, 0): 1}, 1
+    for k in range(2, D + 1):
+        s = sum(v * powers[j - 1].get((k, 0), 0) for (j, _), v in g.items())
+        if s:  # g_k = -s / (dg E): move g onto that denominator
+            g = {j: v * E for j, v in g.items()}
+            g[k, 0] = -s
+            g, dg = _lowest(g, dg * E)
+    return g, dg
+
+
+def _univariate(c, den, D):
+    return PowerSeriesTrunc([Fraction(c[k, 0], den) if (k, 0) in c else _ZERO
+                             for k in range(D + 1)], D)
+
+
+def _bivariate(c, den, D):
+    return BivariateSeriesTrunc({k: Fraction(v, den) for k, v in c.items()}, D)
 
 
 @dataclass
@@ -23,64 +106,31 @@ class PowerSeriesTrunc:
     D: int
 
     def __post_init__(self):
-        c = [Fraction(x) for x in self.coeffs[: self.D + 1]]
-        c.extend([Fraction(0)] * (self.D + 1 - len(c)))
+        c = [x if type(x) is Fraction else Fraction(x) for x in self.coeffs[: self.D + 1]]
+        c.extend([_ZERO] * (self.D + 1 - len(c)))
         self.coeffs = c
-
-    def __add__(self, other):
-        D = min(self.D, other.D)
-        return PowerSeriesTrunc(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], D
-        )
 
     def __mul__(self, other):
         D = min(self.D, other.D)
-        out = [Fraction(0)] * (D + 1)
-        for i, a in enumerate(self.coeffs):
-            if i > D or a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > D:
-                    break
-                if b:
-                    out[i + j] += a * b
-        return PowerSeriesTrunc(out, D)
+        return _univariate(*_mul(*_series(self.coeffs), *_series(other.coeffs), D), D)
 
     def scale(self, c):
-        return PowerSeriesTrunc([Fraction(c) * a for a in self.coeffs], self.D)
+        c = Fraction(c).as_integer_ratio()
+        return _univariate(*_axpy({}, 1, *c, *_series(self.coeffs)), self.D)
 
     def compose(self, inner):
         """self(inner), requiring inner(0) = 0."""
         if inner.coeffs[0] != 0:
             raise ValueError("inner series must have zero constant term")
         D = min(self.D, inner.D)
-        acc = PowerSeriesTrunc([self.coeffs[0]], D)
-        power = PowerSeriesTrunc([0, 1], D)  # inner^0 built up incrementally
-        for k in range(1, D + 1):
-            power = power * inner if k > 1 else PowerSeriesTrunc(inner.coeffs, D)
-            if self.coeffs[k]:
-                acc = acc + power.scale(self.coeffs[k])
-        return acc
+        g, dg = _series(self.coeffs[: D + 1])
+        return _univariate(*_compose(g, dg, *_series(inner.coeffs[: D + 1]), D), D)
 
     def reversion(self):
         """Compositional inverse g with g(self(T)) = T; needs c_0=0, c_1=1."""
         if self.coeffs[0] != 0 or self.coeffs[1] != 1:
             raise ValueError("reversion needs a series T + O(T^2)")
-        D = self.D
-        g = [Fraction(0)] * (D + 1)
-        g[1] = Fraction(1)
-        # powers[j] = self^j truncated; fill g degree by degree
-        powers = [None, PowerSeriesTrunc(self.coeffs, D)]
-        for j in range(2, D + 1):
-            powers.append(powers[-1] * powers[1])
-        for k in range(2, D + 1):
-            # coefficient of T^k in sum_j g[j]*self^j must vanish
-            c = sum(
-                (g[j] * powers[j].coeffs[k] for j in range(1, k) if g[j]),
-                Fraction(0),
-            )
-            g[k] = -c  # self^k contributes exactly 1*g[k] at degree k
-        return PowerSeriesTrunc(g, D)
+        return _univariate(*_reversion(*_series(self.coeffs), self.D), self.D)
 
     def lowest_degree_mod_p(self, p):
         """Smallest k with v_p(c_k) <= 0 and c_k a p-unit numerator, i.e. the
@@ -100,48 +150,25 @@ class PowerSeriesTrunc:
 
 @dataclass
 class BivariateSeriesTrunc:
-    """sum c_{ij} X^i Y^j over i+j <= D; dense triangular storage."""
+    """sum c_{ij} X^i Y^j over i+j <= D; sparse {(i, j): c_ij} storage."""
 
     coeffs: dict
     D: int
 
-    @classmethod
-    def zero(cls, D):
-        return cls({}, D)
-
     def get(self, i, j):
-        return self.coeffs.get((i, j), Fraction(0))
+        return self.coeffs.get((i, j), _ZERO)
 
     def __add__(self, other):
         D = min(self.D, other.D)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return BivariateSeriesTrunc(
-            {k: v for k, v in out.items() if v != 0 and k[0] + k[1] <= D}, D
-        )
-
-    def __mul__(self, other):
-        D = min(self.D, other.D)
-        out = {}
-        for (i1, j1), a in self.coeffs.items():
-            for (i2, j2), b in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > D:
-                    continue
-                out[(i, j)] = out.get((i, j), Fraction(0)) + a * b
-        return BivariateSeriesTrunc({k: v for k, v in out.items() if v != 0}, D)
+        c, den = _axpy(*_ints(self.coeffs.items()), 1, 1, *_ints(other.coeffs.items()))
+        return _bivariate({k: v for k, v in c.items() if k[0] + k[1] <= D}, den, D)
 
     def scale(self, c):
-        c = Fraction(c)
-        return BivariateSeriesTrunc(
-            {k: c * v for k, v in self.coeffs.items() if c * v != 0}, self.D
-        )
+        c = Fraction(c).as_integer_ratio()
+        return _bivariate(*_axpy({}, 1, *c, *_ints(self.coeffs.items())), self.D)
 
     def swap(self):
-        return BivariateSeriesTrunc(
-            {(j, i): v for (i, j), v in self.coeffs.items()}, self.D
-        )
+        return BivariateSeriesTrunc({(j, i): v for (i, j), v in self.coeffs.items()}, self.D)
 
     def to_json(self):
         return [
@@ -180,7 +207,7 @@ def lubin_tate_log(p, h, D) -> PowerSeriesTrunc:
         raise ValueError("D must be >= 1")
     if p < 2 or h < 1:
         raise ValueError("need p >= 2 and h >= 1")
-    coeffs = [Fraction(0)] * (D + 1)
+    coeffs = [_ZERO] * (D + 1)
     n = 0
     while p ** (n * h) <= D:
         coeffs[p ** (n * h)] = Fraction(1, p ** n)
@@ -190,15 +217,8 @@ def lubin_tate_log(p, h, D) -> PowerSeriesTrunc:
 
 def _compose_univariate_bivariate(g: PowerSeriesTrunc, S: BivariateSeriesTrunc):
     D = S.D
-    acc = BivariateSeriesTrunc.zero(D)
-    power = BivariateSeriesTrunc({(0, 0): Fraction(1)}, D)
-    for k in range(1, min(g.D, D) + 1):
-        power = power * S
-        if g.coeffs[k]:
-            acc = acc + power.scale(g.coeffs[k])
-    if g.coeffs[0]:
-        acc = acc + BivariateSeriesTrunc({(0, 0): g.coeffs[0]}, D)
-    return acc
+    c, dc = _series(g.coeffs[: min(g.D, D) + 1])
+    return _bivariate(*_compose(c, dc, *_ints(S.coeffs.items()), D), D)
 
 
 def group_law(p, h, D) -> FormalGroupLaw:
@@ -209,19 +229,16 @@ def group_law(p, h, D) -> FormalGroupLaw:
     """
     if D < 2:
         raise ValueError("D must be >= 2")
-    f = lubin_tate_log(p, h, D)
-    g = f.reversion()
-    fx = BivariateSeriesTrunc(
-        {(k, 0): c for k, c in enumerate(f.coeffs) if c != 0}, D
-    )
-    fy = fx.swap()
-    F = _compose_univariate_bivariate(g, fx + fy)
-    for (i, j), c in F.coeffs.items():
-        if c.denominator % p == 0:
-            raise IntegralityError(
-                f"coefficient of X^{i}Y^{j} is {c}, not p-integral"
-            )
-    return FormalGroupLaw(p, h, D, F, f, g)
+    log = lubin_tate_log(p, h, D)
+    f, df = _series(log.coeffs)
+    g, dg = _reversion(f, df, D)
+    S = {**f, **{(0, i): v for (i, _), v in f.items()}}  # f(X) + f(Y)
+    F, dF = _compose(g, dg, S, df, D)
+    for (i, j), v in sorted(F.items()):
+        if dF // gcd(v, dF) % p == 0:  # the reduced denominator of v/dF
+            c = Fraction(v, dF)
+            raise IntegralityError(f"coefficient of X^{i}Y^{j} is {c}, not p-integral")
+    return FormalGroupLaw(p, h, D, _bivariate(F, dF, D), log, _univariate(g, dg, D))
 
 
 def p_series(fgl: FormalGroupLaw) -> PowerSeriesTrunc:
@@ -253,10 +270,13 @@ def zeta_action(fgl: FormalGroupLaw, zeta) -> PowerSeriesTrunc:
     one = zeta.field.one(zeta.abs_precision)
     if not (zeta ** (p ** h - 1)).approx_equal(one):
         raise ValueError("zeta is not a (p^h - 1)-th root of unity at precision")
+    powers = [one]  # zeta^0 .. zeta^(D-1), a unit: each keeps its precision
+    for _ in range(1, fgl.D):
+        powers.append(powers[-1] * zeta)
     for (i, j), c in fgl.law.coeffs.items():
         if c == 0 or i + j == 1:
             continue
-        if not (zeta ** (i + j - 1)).approx_equal(one):
+        if not powers[i + j - 1].approx_equal(one):
             raise ValueError(
                 f"endomorphism law fails at X^{i}Y^{j}: "
                 f"zeta^{i + j - 1} != 1 but the coefficient is nonzero"

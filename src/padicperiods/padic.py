@@ -647,7 +647,9 @@ class PadicMatrix:
 
     @classmethod
     def from_ints(cls, field, rows, precision=None):
-        return cls(field, [[field.from_int(x, precision) for x in r] for r in rows])
+        made = {}  # one element per distinct integer: elements are never mutated
+        return cls(field, [[made.get(x) or made.setdefault(x, field.from_int(x, precision))
+                            for x in r] for r in rows])
 
     @classmethod
     def identity(cls, field, n, precision=None):

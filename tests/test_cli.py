@@ -159,6 +159,16 @@ class TestFormalGroupCommand:
         code, _, err = run(capsys, ["formal-group", "--p", "2", "--h", "1"])
         assert code == cli.EXIT_INTEGRALITY
 
+    @pytest.mark.parametrize("p", ["4", "6", "9"])
+    def test_non_prime_p_exits_2(self, capsys, p):
+        """Refused before any series is built, so a composite p never reaches
+        the integrality check (exit 5) or a message that names no flag."""
+        code, out, err = run(capsys, ["formal-group", "--p", p, "--h", "1"])
+        assert code == cli.EXIT_BAD_FLAGS
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "--p" in lines[0]
+
 
 def run_process(argv, timeout=60):
     """The CLI in a fresh interpreter, killed if it outlasts ``timeout``."""
@@ -276,7 +286,8 @@ ARGVS = st.one_of(
     ),
     st.builds(
         lambda p, h, D: _argv("formal-group", "--p", p, "--h", h, *(("--D", D) if D is not None else ())),
-        st.integers(0, 3), st.integers(-1, 3), st.none() | st.integers(-1, 40),
+        st.integers(0, 3) | st.sampled_from([4, 6, 9]), st.integers(-1, 3),
+        st.none() | st.integers(-1, 40),
     ),
 )
 

@@ -1093,6 +1093,15 @@ def test_product_makes_no_element_arithmetic(monkeypatch):
     assert calls  # the reference fold goes through the spies
 
 
+def test_from_ints_builds_one_element_per_integer():
+    f = make_field_cached(2, 2, PREC)
+    M = PadicMatrix.from_ints(f, [[0, 1], [0, 0]])
+    (z, one), (z1, z2) = M.rows
+    assert z is z1 is z2 and one is not z
+    assert z.is_zero_at_precision() and one.approx_equal(f.one())
+    assert z.abs_precision == one.abs_precision == PREC
+
+
 class TestSaturate:
     def test_divide_single_column(self, Q2):
         M = PadicMatrix.from_ints(Q2, [[2], [2]])
@@ -1230,6 +1239,72 @@ class TestCharpolyOracle:
         for k, (x, c) in enumerate(zip(got, oracle)):
             assert x.abs_precision >= 1
             assert _agrees_mod(x, Fraction(c) * Fraction(p) ** (k - n), x.abs_precision)
+
+
+def _capped_e(value, N, p):
+    """e(x) for x = value + O(p^N): its valuation, or N if value = 0 mod p^N."""
+    if value == 0:
+        return N
+    num, den, v = value.numerator, value.denominator, 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return min(v, N)
+
+
+@st.composite
+def qp_operands(draw):
+    """(p, (a, s, N), (b, t, M)): the elements a/p^s + O(p^N) and
+    b/p^t + O(p^M) of Q_p, p in {2, 3, 5}, often p-divisible, sometimes zero
+    at their precision."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    operand = st.tuples(
+        st.builds(lambda u, e: u * p ** e, st.integers(-10 ** 6, 10 ** 6),
+                  st.sampled_from([0, 0, 1, 2, 4, 9, 30])),
+        st.integers(0, 3), st.integers(1, 20),
+    )
+    return p, draw(operand), draw(operand)
+
+
+class TestElementOracle:
+    """Element arithmetic over Q_p (m = 1) against Fractions: each result
+    agrees with the exact rational result mod p^N, where N is the
+    capped-absolute precision computed here, and PrecisionError stands for
+    N < 1."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(qp_operands())
+    def test_against_fractions(self, operands):
+        p, (a, s, N), (b, t, M) = operands
+        f = make_field_cached(p, 1, 20)
+        x, y = f.from_coeffs([a], N, s), f.from_coeffs([b], M, t)
+        X, Y = Fraction(a, p ** s), Fraction(b, p ** t)
+        ex, ey = _capped_e(X, N, p), _capped_e(Y, M, p)
+        cases = [
+            (lambda: x + y, X + Y, min(N, M)),
+            (lambda: x - y, X - Y, min(N, M)),
+            (lambda: x * y, X * Y, min(N + ey, M + ex)),
+        ]
+        if ey < M:
+            cases += [
+                (lambda: x / y, X / Y, min(N - ey, M - 2 * ey + ex)),
+                (y.inverse, 1 / Y, M - 2 * ey),
+            ]
+        else:
+            for op in (lambda: x / y, y.inverse):
+                with pytest.raises(ZeroDivisionError):
+                    op()
+        for op, value, prec in cases:
+            if prec < 1:
+                with pytest.raises(PrecisionError):
+                    op()
+            else:
+                r = op()
+                assert r.abs_precision == prec
+                assert _agrees_mod(r, value, prec)
 
 
 class TestJson:
