@@ -1,13 +1,23 @@
 """The formal group against an oracle that uses only Fractions: the law, the
 exponential and the [p]-series solved degree by degree from the functional
 equations f(F(X, Y)) = f(X) + f(Y), f(exp(T)) = T and f([p](T)) = p f(T),
-with f(T) = sum_n T^(p^(nh)) / p^n written out here."""
+with f(T) = sum_n T^(p^(nh)) / p^n written out here.  Also: the integer
+kernels build Fractions only for their outputs, and the roots-of-unity
+action rejects a law coefficient whose power of zeta is not 1."""
 
 from fractions import Fraction
 
 import pytest
 
-from padicperiods.formal import group_law, height_certificate, p_series
+from padicperiods.formal import (
+    BivariateSeriesTrunc,
+    FormalGroupLaw,
+    group_law,
+    height_certificate,
+    p_series,
+    zeta_action,
+)
+from padicperiods.padic import make_field_cached, teichmueller
 
 CASES = [
     (p, h, D)
@@ -139,3 +149,14 @@ def test_group_law_builds_fractions_only_for_its_outputs(monkeypatch, p, h, D):
     height, _ = height_certificate(fgl)
     assert height == p ** h
     assert 0 < len(made) <= 16 * (D + 1)
+
+
+def test_zeta_action_rejects_a_coefficient_off_the_exponents():
+    """zeta of order 3 fixes the degree-4 coefficients of the (2, 2) law but
+    not an added X Y term: zeta^1 != 1."""
+    fgl = group_law(2, 2, 6)
+    zeta = teichmueller(make_field_cached(2, 2, 16), [0, 1])
+    assert zeta_action(fgl, zeta).coeffs[1] is zeta
+    law = BivariateSeriesTrunc({**fgl.law.coeffs, (1, 1): Fraction(1)}, 6)
+    with pytest.raises(ValueError, match=r"X\^1Y\^1: zeta\^1 != 1"):
+        zeta_action(FormalGroupLaw(2, 2, 6, law, fgl.log, fgl.exp), zeta)
