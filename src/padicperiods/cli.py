@@ -6,6 +6,10 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 bad flags, 3 rank
 certification rejected the input matrix, 4 an indeterminate verdict was
 produced (report still emitted) or a PrecisionError stopped the command
 before its report, 5 integrality assertion failed.
+
+``formal-group`` truncates its series at total degree D (``--D``, default
+p^h + p) and refuses a D above 128 with exit 2, since the law's cost grows
+about as D^4.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ EXIT_BAD_FLAGS = 2
 EXIT_RANK_REJECTED = 3
 EXIT_INDETERMINATE = 4
 EXIT_INTEGRALITY = 5
+
+# formal-group's law costs about D^4: D = 128 takes seconds
+FORMAL_MAX_D = 128
 
 
 def _default_precision():
@@ -241,10 +248,17 @@ def cmd_formal_group(args):
     if not _is_prime(p):
         print(f"formal-group: --p must be a prime (got p={p})", file=sys.stderr)
         return EXIT_BAD_FLAGS
-    if D is None:
-        D = p ** h + p
-    if D < p ** h:
-        print(f"formal-group: D must be >= p^h = {p ** h}", file=sys.stderr)
+    # from h = 8 on p^h >= 2^8 > FORMAL_MAX_D, so no D fits; p^h is not formed
+    q = p ** h if h < 8 else None
+    if D is None and q is not None:
+        D = q + p
+    if D is None or D > FORMAL_MAX_D:
+        got = f"D={D}" if D is not None else f"the default p^h + p with h={h}"
+        print(f"formal-group: --D must be <= {FORMAL_MAX_D} (got {got})", file=sys.stderr)
+        return EXIT_BAD_FLAGS
+    if q is None or D < q:
+        bound = "p^h" if q is None else f"p^h = {q}"
+        print(f"formal-group: D must be >= {bound}", file=sys.stderr)
         return EXIT_BAD_FLAGS
     try:
         fgl = formal.group_law(p, h, D)

@@ -522,14 +522,6 @@ class PadicElement:
             x = x.frobenius()
         return x
 
-    def qp_coordinates(self):
-        """Coordinates in the Q_p-basis 1, w, ..., w^{m-1}, as prime-field elements."""
-        base = make_field_cached(self.field.p, 1, self.abs_precision)
-        return [
-            PadicElement(base, (c,), self.shift, self.abs_precision)
-            for c in self.coeffs
-        ]
-
     # -- comparisons ------------------------------------------------------
 
     def approx_equal(self, other):
@@ -962,13 +954,87 @@ def rank_below(divisors, threshold):
     return sum(1 for d in divisors if is_exact(d) and d < threshold)
 
 
+def _int_divisors(A, p, N, S):
+    """``_reduce``'s divisors of M = p^-S * A, for an integer matrix A whose
+    entries are the values p^S * M mod p^(N+S) at one flat precision N.
+
+    The pivot is the first entry of least valuation v in row-major order,
+    with ``_reduce``'s row and column swaps, and a pivot p^v * u clears each
+    entry e below it by the factor (e // p^v) * u^-1 mod p^(N+S-v), every
+    update reduced mod p^(N+S).  That is exact, so no precision is tracked:
+    e has valuation >= v, so the factor has valuation >= 0 and is known to
+    N + S - v digits, and the pivot row's entries have valuation >= v, so
+    the factor's error times any of them vanishes mod p^(N+S).  Each entry
+    thus stays at precision N, as in ``_reduce``.  Clearing the pivot row
+    only zeroes its entries (the other rows are zero in the pivot column),
+    so it is skipped.  Returns v - S per pivot, then AtLeast(N).
+    """
+    mod = p ** (N + S)
+    work = [[x % mod for x in row] for row in A]
+    r = len(work)
+    c = len(work[0]) if r else 0
+    divisors = []
+    for k in range(min(r, c)):
+        # the first entry of least valuation, in row-major order
+        v = bi = bj = None
+        for i in range(k, r):
+            row = work[i]
+            for j in range(k, c):
+                x = row[j]
+                if not x:
+                    continue
+                if x % p:
+                    v, bi, bj = 0, i, j
+                    break
+                w = _valuation(p, (x,))
+                if v is None or w < v:
+                    v, bi, bj = w, i, j
+            if v == 0:
+                break
+        if v is None:
+            break
+        if bi != k:
+            work[k], work[bi] = work[bi], work[k]
+        if bj != k:
+            for row in work:
+                row[k], row[bj] = row[bj], row[k]
+        wk = work[k]
+        pv = p ** v
+        rel = mod // pv
+        uinv = None  # inverted once, and only if an entry needs clearing
+        for i in range(k + 1, r):
+            wi = work[i]
+            e = wi[k]
+            if not e:
+                continue
+            if uinv is None:
+                uinv = pow(wk[k] // pv, -1, rel)
+            fct = (e // pv) * uinv % rel  # column k is not read again
+            for j in range(k + 1, c):
+                wi[j] = (wi[j] - fct * wk[j]) % mod
+        divisors.append(v - S)
+    divisors += [AtLeast(N)] * (min(r, c) - len(divisors))
+    return divisors
+
+
 def certified_rank(M: PadicMatrix, threshold=None):
     """(rank, divisor valuations); rank counts divisors certified below threshold.
 
-    Runs the reduction without building the transforms.
+    Runs the reduction without building the transforms.  When every entry
+    lies in Q_p (no w-part) at the one precision N = M.precision, the
+    reduction runs on integers mod p^(N+S), S the largest shift, through
+    ``_int_divisors``; its divisors are ``_reduce``'s.
     """
-    divisors = _reduce(M, False)[0]
-    thr = M.precision if threshold is None else threshold
+    N = M.precision
+    p = M.field.p
+    rows = M.rows
+    if all(e.abs_precision == N and not any(e.coeffs[1:]) for row in rows for e in row):
+        S = max(e.shift for row in rows for e in row)
+        divisors = _int_divisors(
+            [[e.coeffs[0] * p ** (S - e.shift) for e in row] for row in rows], p, N, S)
+    else:
+        divisors = _reduce(M, False)[0]
+    thr = N if threshold is None else threshold
     return rank_below(divisors, thr), divisors
 
 

@@ -13,6 +13,7 @@ from .padic import (
     PadicMatrix,
     PrecisionError,
     SmithForm,
+    _int_divisors,
     certified_rank,
     embed_element,
     field_embedding,
@@ -163,21 +164,20 @@ def omega_membership(point: ProjectivePoint) -> OmegaVerdict:
     """
     normal = point.normal
     n = len(normal)
-    f = normal[0].field
+    p = normal[0].field.p
     N = min(e.abs_precision for e in normal)
     if N < 1:
         return OmegaVerdict("indeterminate")
-    base = make_field_cached(f.p, 1, N)
-    # n x m over Q_p, homed in one field at the common precision
-    rows = [
-        [base.from_coeffs([c.coeffs[0]], N, c.shift) for c in e.qp_coordinates()]
-        for e in normal
-    ]
-    M = PadicMatrix(base, rows)
-    rank, _ = certified_rank(M)
-    if rank == n:
+    # the n x m coordinate matrix over Q_p at the common precision N, as the
+    # integers p^S * M (certified_rank's integer path)
+    S = max(e.shift for e in normal)
+    A = [[c * p ** (S - e.shift) for c in e.coeffs] for e in normal]
+    if rank_below(_int_divisors(A, p, N, S), N) == n:
         return OmegaVerdict("in_Omega")
     # rank-deficient: extract a left-kernel vector of M as the witness
+    base = make_field_cached(p, 1, N)
+    M = PadicMatrix(base, [[base.from_coeffs([c], N, e.shift) for c in e.coeffs]
+                           for e in normal])
     sf = smith_form(M)
     witness = list(sf.L.rows[n - 1])
     witness = _primitive_scale(witness)

@@ -160,10 +160,7 @@ def phi_fixed_points(iso: Isocrystal, twist=0):
     for img in raw_cols:
         col = []
         for x in img:
-            col.extend(
-                base.from_coeffs([c.coeffs[0]], Nc, c.shift)
-                for c in x.qp_coordinates()
-            )
+            col.extend(base.from_coeffs([c], Nc, x.shift) for c in x.coeffs)
         cols.append(col)
     big = PadicMatrix(base, cols).transpose()
     kern = kernel_basis(big)

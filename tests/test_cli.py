@@ -169,6 +169,23 @@ class TestFormalGroupCommand:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and "--p" in lines[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["--p", "2", "--h", "1", "--D", "129"],
+        ["--p", "7", "--h", "3"],  # the default D = 7^3 + 7 = 350
+    ])
+    def test_D_above_bound_exits_2(self, capsys, monkeypatch, argv):
+        """Refused before any field or series is built: the law costs about D^4."""
+        def never(*args):
+            raise AssertionError("built before the --D check")
+
+        monkeypatch.setattr(cli.formal, "group_law", never)
+        monkeypatch.setattr(cli, "make_field_cached", never)
+        code, out, err = run(capsys, ["formal-group", *argv])
+        assert code == cli.EXIT_BAD_FLAGS
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "--D" in lines[0] and "128" in lines[0]
+
 
 def run_process(argv, timeout=60):
     """The CLI in a fresh interpreter, killed if it outlasts ``timeout``."""
