@@ -368,13 +368,22 @@ def _mul_coeffs(f, a, b):
     return out
 
 
+def _unit_inverse(f, unit, k):
+    """u^-1 modulo (modulus, p^k) as m coefficients, for a unit u of
+    Z[w]/(modulus): by ``pow`` for a unit of Z_p, by ``_poly_inverse``
+    otherwise."""
+    if any(unit[1:]):
+        inv = _poly_inverse(unit, list(f.modulus), f.p, k)
+        return inv + [0] * (f.m - len(inv))
+    return [pow(unit[0], -1, f.p ** k)] + [0] * (f.m - 1)
+
+
 def _inverse(f, coeffs, shift, N, v):
     """(coeffs, shift, N) of 1/x, before normalization, for x = p^-shift *
     coeffs of valuation v at precision N (ZeroDivisionError for v None).
 
     1/x has precision N - 2v, which may be < 1 while y/x has digits; its
-    unit part is inverted modulo p^(N - v) (v < N), by ``pow`` for a unit
-    of Z_p and by ``_poly_inverse`` otherwise.
+    unit part is inverted modulo p^(N - v) (v < N) by ``_unit_inverse``.
     """
     if v is None:
         raise ZeroDivisionError("element indistinguishable from zero")
@@ -382,12 +391,7 @@ def _inverse(f, coeffs, shift, N, v):
     rel = N - v
     N = N - 2 * v
     pw = p ** (v + shift)  # p to the coefficient-level valuation
-    unit = [c // pw for c in coeffs]
-    if any(unit[1:]):
-        inv = _poly_inverse(unit, list(f.modulus), p, rel)
-        inv = inv + [0] * (f.m - len(inv))
-    else:  # a unit of Z_p
-        inv = [pow(unit[0], -1, p ** rel)] + [0] * (f.m - 1)
+    inv = _unit_inverse(f, [c // pw for c in coeffs], rel)
     shift_out = max(v, 0)
     scale = p ** (shift_out - v)
     return [c * scale for c in inv], shift_out, N
@@ -708,9 +712,6 @@ class PadicMatrix:
     def smith_form(self):
         return smith_form(self)
 
-    def elementary_divisors(self):
-        return _reduce(self, False)[0]
-
     def inverse(self):
         n = self.nrows
         if n != self.ncols:
@@ -728,7 +729,7 @@ class PadicMatrix:
     def det_valuation(self) -> Valuation:
         """Valuation of the determinant (sum of elementary divisor valuations)."""
         total = 0
-        for d in self.elementary_divisors():
+        for d in certified_rank(self)[1]:
             if not is_exact(d):
                 return AtLeast(total + d.n)
             total += d
@@ -854,13 +855,9 @@ def _fused(f, x, a, b, sign):
     return _normal(f.p, coeffs, s, N if N < Np else Np)
 
 
-def _reduce(M: PadicMatrix, track: bool):
-    """Smith-style reduction with minimal-valuation pivoting.
+def smith_form(M: PadicMatrix) -> SmithForm:
+    """Smith-style reduction with minimal-valuation pivoting and transforms.
 
-    Returns (divisors, pivots, transforms): ``transforms`` is (L, Linv, R,
-    Rinv, pivots_invertible) of ``SmithForm`` if ``track``, else None.  The
-    pivot choice and every update of the working matrix are the same either
-    way, so the divisors (AtLeast markers included) do not depend on it.
     The loop runs on kernel entries (coeffs, shift, N, v) of ``_normal``:
     each update is one ``_fused`` step, and a pivot is inverted once, only
     if an entry needs clearing.  The clearing factor e / pivot has the
@@ -872,13 +869,12 @@ def _reduce(M: PadicMatrix, track: bool):
     r, c = M.nrows, M.ncols
     N = M.precision
     work = [[(e.coeffs, e.shift, e.abs_precision, e._v) for e in row] for row in M.rows]
-    if track:
-        one = _normal(f.p, [1] + [0] * (f.m - 1), 0, N)
-        zero = _normal(f.p, [0] * f.m, 0, N)
-        L, Linv, R, Rinv = (
-            [[one if i == j else zero for j in range(n)] for i in range(n)]
-            for n in (r, r, c, c)
-        )
+    one = _normal(f.p, [1] + [0] * (f.m - 1), 0, N)
+    zero = _normal(f.p, [0] * f.m, 0, N)
+    L, Linv, R, Rinv = (
+        [[one if i == j else zero for j in range(n)] for i in range(n)]
+        for n in (r, r, c, c)
+    )
     divisors, pivots, invertible = [], [], True
     for k in range(min(r, c)):
         # the first entry of least valuation, in row-major order
@@ -889,17 +885,15 @@ def _reduce(M: PadicMatrix, track: bool):
         v, bi, bj = best
         if bi != k:
             work[k], work[bi] = work[bi], work[k]
-            if track:
-                L[k], L[bi] = L[bi], L[k]
-                for row in Linv:
-                    row[k], row[bi] = row[bi], row[k]
+            L[k], L[bi] = L[bi], L[k]
+            for row in Linv:
+                row[k], row[bi] = row[bi], row[k]
         if bj != k:
             for row in work:
                 row[k], row[bj] = row[bj], row[k]
-            if track:
-                for row in R:
-                    row[k], row[bj] = row[bj], row[k]
-                Rinv[k], Rinv[bj] = Rinv[bj], Rinv[k]
+            for row in R:
+                row[k], row[bj] = row[bj], row[k]
+            Rinv[k], Rinv[bj] = Rinv[bj], Rinv[k]
         wk = work[k]
         pivot = wk[k]  # inverted once, and only if an entry needs clearing
         if any(row[k][3] is not None for row in work[k + 1:]) or any(
@@ -913,39 +907,29 @@ def _reduce(M: PadicMatrix, track: bool):
             fct = _times(f, wi[k], pinv)
             for j in range(k, c):
                 wi[j] = _fused(f, wi[j], fct, wk[j], -1)
-            if track:
-                Li, Lk = L[i], L[k]
-                for j in range(r):
-                    Li[j] = _fused(f, Li[j], fct, Lk[j], -1)
-                    row = Linv[j]
-                    row[k] = _fused(f, row[k], fct, row[i], 1)
+            Li, Lk = L[i], L[k]
+            for j in range(r):
+                Li[j] = _fused(f, Li[j], fct, Lk[j], -1)
+                row = Linv[j]
+                row[k] = _fused(f, row[k], fct, row[i], 1)
         for j in range(k + 1, c):
             if wk[j][3] is None:
                 continue
             fct = _times(f, wk[j], pinv)
             for row in work:
                 row[j] = _fused(f, row[j], row[k], fct, -1)
-            if track:
-                for row in R:
-                    row[j] = _fused(f, row[j], row[k], fct, -1)
-                Rk, Rj = Rinv[k], Rinv[j]
-                for jj in range(c):
-                    Rk[jj] = _fused(f, Rk[jj], fct, Rj[jj], 1)
+            for row in R:
+                row[j] = _fused(f, row[j], row[k], fct, -1)
+            Rk, Rj = Rinv[k], Rinv[j]
+            for jj in range(c):
+                Rk[jj] = _fused(f, Rk[jj], fct, Rj[jj], 1)
         divisors.append(v)
-        pivots.append(pivot)
+        pivots.append(PadicElement(f, pivot[0], pivot[1], pivot[2]))
     divisors += [AtLeast(N)] * (min(r, c) - len(divisors))
-    pivots = [PadicElement(f, e[0], e[1], e[2]) for e in pivots]
-    if not track:
-        return divisors, pivots, None
-    return divisors, pivots, (*(
+    L, Linv, R, Rinv = (
         PadicMatrix(f, [[PadicElement(f, e[0], e[1], e[2]) for e in row] for row in T])
         for T in (L, Linv, R, Rinv)
-    ), invertible)
-
-
-def smith_form(M: PadicMatrix) -> SmithForm:
-    """Smith-style reduction with minimal-valuation pivoting and transforms."""
-    divisors, pivots, (L, Linv, R, Rinv, invertible) = _reduce(M, True)
+    )
     return SmithForm(divisors, pivots, L, Linv, R, Rinv, len(pivots), invertible)
 
 
@@ -954,41 +938,43 @@ def rank_below(divisors, threshold):
     return sum(1 for d in divisors if is_exact(d) and d < threshold)
 
 
-def _int_divisors(A, p, N, S):
-    """``_reduce``'s divisors of M = p^-S * A, for an integer matrix A whose
-    entries are the values p^S * M mod p^(N+S) at one flat precision N.
+def _int_divisors(f, rows, N):
+    """The certified divisors, at the one precision N, of the matrix over
+    ``f`` whose entries are given as (coeffs, shift): the rank kernel.
 
-    The pivot is the first entry of least valuation v in row-major order,
-    with ``_reduce``'s row and column swaps, and a pivot p^v * u clears each
-    entry e below it by the factor (e // p^v) * u^-1 mod p^(N+S-v), every
-    update reduced mod p^(N+S).  That is exact, so no precision is tracked:
-    e has valuation >= v, so the factor has valuation >= 0 and is known to
-    N + S - v digits, and the pivot row's entries have valuation >= v, so
-    the factor's error times any of them vanishes mod p^(N+S).  Each entry
-    thus stays at precision N, as in ``_reduce``.  Clearing the pivot row
-    only zeroes its entries (the other rows are zero in the pivot column),
-    so it is skipped.  Returns v - S per pivot, then AtLeast(N).
+    Each entry x = p^-shift * sum coeffs[i] w^i becomes the coefficient
+    list of p^S * x mod (modulus, p^(N+S)), S the largest shift; an entry
+    known to more than N digits is cut to N, and dropping digits never
+    certifies more.  The pivot is the first entry of least valuation v in
+    row-major order, with ``smith_form``'s row and column swaps, and a
+    pivot p^v * u clears each entry e below it by the factor (e / p^v) *
+    u^-1, u^-1 taken mod p^(N+S-v), every update reduced mod p^(N+S).  That
+    is exact, so no precision is tracked: e has valuation >= v, so the
+    factor is integral and its error is a multiple of p^(N+S-v) in
+    Z[w]/(modulus), and every entry of the pivot row has valuation >= v, so
+    the error times any of them vanishes mod p^(N+S).  Each entry thus
+    stays at precision N, as in ``smith_form`` at one flat precision, and
+    no entry is ever too coarse to clear.  Clearing the pivot row only
+    zeroes its entries (the other rows are zero in the pivot column), so it
+    is skipped.  Returns v - S per pivot, each below N, then AtLeast(N).
     """
+    p = f.p
+    S = max((s for row in rows for _, s in row), default=0)
     mod = p ** (N + S)
-    work = [[x % mod for x in row] for row in A]
+    work = [[[x * p ** (S - s) % mod for x in coeffs] for coeffs, s in row] for row in rows]
     r = len(work)
     c = len(work[0]) if r else 0
     divisors = []
     for k in range(min(r, c)):
         # the first entry of least valuation, in row-major order
-        v = bi = bj = None
+        v = None
         for i in range(k, r):
-            row = work[i]
-            for j in range(k, c):
-                x = row[j]
-                if not x:
-                    continue
-                if x % p:
-                    v, bi, bj = 0, i, j
-                    break
-                w = _valuation(p, (x,))
-                if v is None or w < v:
+            for j, x in enumerate(work[i][k:], k):
+                w = _valuation(p, x)
+                if w is not None and (v is None or w < v):
                     v, bi, bj = w, i, j
+                    if not w:
+                        break
             if v == 0:
                 break
         if v is None:
@@ -1000,42 +986,30 @@ def _int_divisors(A, p, N, S):
                 row[k], row[bj] = row[bj], row[k]
         wk = work[k]
         pv = p ** v
-        rel = mod // pv
+        rel = N + S - v
+        pivot_row = [(j, y) for j, y in enumerate(wk[k + 1:], k + 1) if any(y)]  # zeros change nothing
         uinv = None  # inverted once, and only if an entry needs clearing
-        for i in range(k + 1, r):
-            wi = work[i]
+        for wi in work[k + 1:]:
             e = wi[k]
-            if not e:
+            if not any(e):
                 continue
             if uinv is None:
-                uinv = pow(wk[k] // pv, -1, rel)
-            fct = (e // pv) * uinv % rel  # column k is not read again
-            for j in range(k + 1, c):
-                wi[j] = (wi[j] - fct * wk[j]) % mod
+                uinv = _unit_inverse(f, [x // pv for x in wk[k]], rel)
+            fct = _mul_coeffs(f, [x // pv for x in e], uinv)  # column k is not read again
+            for j, y in pivot_row:
+                wi[j] = [(a - b) % mod for a, b in zip(wi[j], _mul_coeffs(f, fct, y))]
         divisors.append(v - S)
     divisors += [AtLeast(N)] * (min(r, c) - len(divisors))
     return divisors
 
 
-def certified_rank(M: PadicMatrix, threshold=None):
-    """(rank, divisor valuations); rank counts divisors certified below threshold.
-
-    Runs the reduction without building the transforms.  When every entry
-    lies in Q_p (no w-part) at the one precision N = M.precision, the
-    reduction runs on integers mod p^(N+S), S the largest shift, through
-    ``_int_divisors``; its divisors are ``_reduce``'s.
-    """
+def certified_rank(M: PadicMatrix):
+    """(rank, divisor valuations) at N = M.precision, from ``_int_divisors``:
+    the exact divisors, all below N, and AtLeast(N) for the others; the
+    rank counts the exact ones."""
     N = M.precision
-    p = M.field.p
-    rows = M.rows
-    if all(e.abs_precision == N and not any(e.coeffs[1:]) for row in rows for e in row):
-        S = max(e.shift for row in rows for e in row)
-        divisors = _int_divisors(
-            [[e.coeffs[0] * p ** (S - e.shift) for e in row] for row in rows], p, N, S)
-    else:
-        divisors = _reduce(M, False)[0]
-    thr = N if threshold is None else threshold
-    return rank_below(divisors, thr), divisors
+    divisors = _int_divisors(M.field, [[(e.coeffs, e.shift) for e in row] for row in M.rows], N)
+    return rank_below(divisors, N), divisors
 
 
 def kernel_basis(M: PadicMatrix):

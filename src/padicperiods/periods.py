@@ -168,14 +168,12 @@ def omega_membership(point: ProjectivePoint) -> OmegaVerdict:
     N = min(e.abs_precision for e in normal)
     if N < 1:
         return OmegaVerdict("indeterminate")
-    # the n x m coordinate matrix over Q_p at the common precision N, as the
-    # integers p^S * M (certified_rank's integer path)
-    S = max(e.shift for e in normal)
-    A = [[c * p ** (S - e.shift) for c in e.coeffs] for e in normal]
-    if rank_below(_int_divisors(A, p, N, S), N) == n:
+    # the n x m coordinate matrix over Q_p at the common precision N
+    base = make_field_cached(p, 1, N)
+    coords = [[((c,), e.shift) for c in e.coeffs] for e in normal]
+    if rank_below(_int_divisors(base, coords, N), N) == n:
         return OmegaVerdict("in_Omega")
     # rank-deficient: extract a left-kernel vector of M as the witness
-    base = make_field_cached(p, 1, N)
     M = PadicMatrix(base, [[base.from_coeffs([c], N, e.shift) for c in e.coeffs]
                            for e in normal])
     sf = smith_form(M)

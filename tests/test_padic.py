@@ -40,7 +40,6 @@ from padicperiods.padic import (
     _poly_mul,
     _poly_mulmod,
     _poly_rem,
-    _reduce,
 )
 from padicperiods.periods import (
     RankCertificationError,
@@ -331,23 +330,36 @@ def _same_element(x, y):
     return (x.coeffs, x.shift, x.abs_precision) == (y.coeffs, y.shift, y.abs_precision)
 
 
+def _cut(M, N):
+    """M with every entry cut to precision N."""
+    return PadicMatrix(M.field, [[M.field.from_coeffs(e.coeffs, N, e.shift) for e in row]
+                                 for row in M.rows])
+
+
+def _assert_rank_divisors(divisors, ref, N):
+    """The rank kernel's divisors at precision N against a reference's: the
+    same below N and AtLeast(N) everywhere else, types included; at one flat
+    precision every exact divisor is below N, so that is equality."""
+    expected = [d if is_exact(d) and d < N else AtLeast(N) for d in ref]
+    assert divisors == expected
+    assert [type(d) for d in divisors] == [type(d) for d in expected]
+
+
 class TestSharedElimination:
-    """The rank-only path and the full Smith form share one elimination."""
+    """The rank kernel agrees with the Smith form, and the Smith form of X
+    serves its transpose."""
 
     @settings(max_examples=150, deadline=None)
     @given(elimination_inputs())
     def test_rank_only_divisors_match_smith_form(self, M):
+        N = M.precision
+        rank, divisors = certified_rank(M)  # the kernel never raises
         try:
             sf = smith_form(M)
-        except PrecisionError:
-            with pytest.raises(PrecisionError):
-                certified_rank(M)
-            return
-        rank, divisors = certified_rank(M)
-        assert divisors == sf.divisors
-        assert [type(d) for d in divisors] == [type(d) for d in sf.divisors]
-        assert M.elementary_divisors() == sf.divisors
-        assert rank == rank_below(sf.divisors, M.precision)
+        except PrecisionError:  # then the kernel ranks M cut to N
+            sf = smith_form(_cut(M, N))
+        _assert_rank_divisors(divisors, sf.divisors, N)
+        assert rank == rank_below(sf.divisors, N)
 
     @settings(max_examples=60, deadline=None)
     @given(elimination_inputs(square_corank_one=True))
@@ -819,25 +831,26 @@ def _plain_valuation(x):
 
 
 def _check_reduce_against_reference(M):
-    """_reduce(M, True) and _reduce(M, False) equal _reference_smith(M)
-    field by field, or all three raise PrecisionError; every exact divisor
-    is the valuation of its pivot, read from the pivot's coefficients."""
-    out = _same_outcome(_reference_smith, lambda A: _reduce(A, True), M)
+    """smith_form(M) equals _reference_smith(M) field by field, or both
+    raise PrecisionError; every exact divisor is the valuation of its pivot,
+    read from the pivot's coefficients.  certified_rank(M) gives the
+    reference's divisors of M cut to N = M.precision, types included, and
+    of M itself the ones below N, AtLeast(N) for the others."""
+    N = M.precision
+    _, divisors = certified_rank(M)
+    _assert_rank_divisors(divisors, _reference_smith(_cut(M, N))[0], N)
+    out = _same_outcome(_reference_smith, smith_form, M)
     if out is None:
-        with pytest.raises(PrecisionError):
-            _reduce(M, False)
         return
-    (div, piv, mats), (got_div, got_piv, got_mats) = out
-    assert got_div == div
-    assert [type(d) for d in got_div] == [type(d) for d in div]
-    assert all(_same_element(x, y) for x, y in zip(got_piv, piv, strict=True))
-    for ref, got in zip(mats, got_mats):
+    (div, piv, mats), sf = out
+    assert sf.divisors == div
+    assert [type(d) for d in sf.divisors] == [type(d) for d in div]
+    assert all(_same_element(x, y) for x, y in zip(sf.pivots, piv, strict=True))
+    for ref, got in zip(mats, (sf.L, sf.Linv, sf.R, sf.Rinv), strict=True):
         for rr, rg in zip(ref, got.rows, strict=True):
             assert all(_same_element(x, y) for x, y in zip(rr, rg, strict=True))
-    rank_only = _reduce(M, False)
-    assert rank_only[0] == div
-    assert all(_same_element(x, y) for x, y in zip(rank_only[1], piv, strict=True))
-    assert [_plain_valuation(x) for x in got_piv] == [d for d in got_div if is_exact(d)]
+    assert [_plain_valuation(x) for x in sf.pivots] == [d for d in div if is_exact(d)]
+    _assert_rank_divisors(divisors, div, N)
 
 
 def _same_outcome(reference, fast, *args):
@@ -973,6 +986,15 @@ def _int_det(A):
                for j in range(len(A)))
 
 
+def _vp(n, p):
+    """v_p of a nonzero integer."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
 def _smith_oracle(A, p):
     """p-adic valuations of the Smith invariants of the integer matrix A over
     Z, None for a zero invariant: d_k is the gcd of the k x k minors and the
@@ -985,15 +1007,7 @@ def _smith_oracle(A, p):
             for cols in itertools.combinations(range(c), k):
                 g = math.gcd(g, _int_det([[A[i][j] for j in cols] for i in rows]))
         d.append(g)
-
-    def v(n):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        return e
-
-    return [None if d[k] == 0 else v(d[k]) - v(d[k - 1]) for k in range(1, len(d))]
+    return [None if d[k] == 0 else _vp(d[k], p) - _vp(d[k - 1], p) for k in range(1, len(d))]
 
 
 @st.composite
@@ -1010,9 +1024,69 @@ def integer_matrices(draw):
     return p, rows
 
 
+def _mulmod(a, b, modulus):
+    """a * b in Z[w]/(modulus), for coefficient lists of length m and the
+    monic modulus given by its m + 1 coefficients."""
+    m = len(modulus) - 1
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for d in range(2 * m - 2, m - 1, -1):  # w^d = -sum_i modulus[i] w^(d - m + i)
+        top = prod.pop()
+        for i in range(m):
+            prod[d - m + i] -= top * modulus[i]
+    return prod
+
+
+def _poly_det(A, modulus):
+    """Determinant over Z[w]/(modulus) by cofactor expansion."""
+    if len(A) == 1:
+        return list(A[0][0])
+    total = [0] * (len(modulus) - 1)
+    for j, a in enumerate(A[0]):
+        term = _mulmod(a, _poly_det([row[:j] + row[j + 1:] for row in A[1:]], modulus), modulus)
+        total = [t + (-1) ** j * x for t, x in zip(total, term)]
+    return total
+
+
+def _extension_oracle(A, modulus, p):
+    """Valuations of the Smith invariants of A over Z_{p^m} = Z_p[w]/(modulus),
+    None for a zero invariant.  Z_{p^m} is a discrete valuation ring and
+    1, w, ..., w^(m-1) an integral basis, so v(d_k) is the least valuation
+    of a coefficient of a k x k minor, and the k-th invariant is
+    v(d_k) - v(d_(k-1))."""
+    r, c = len(A), len(A[0])
+    vd = [0]
+    for k in range(1, min(r, c) + 1):
+        vals = [_vp(x, p) for rows in itertools.combinations(range(r), k)
+                for cols in itertools.combinations(range(c), k)
+                for x in _poly_det([[A[i][j] for j in cols] for i in rows], modulus) if x]
+        vd.append(min(vals) if vals else None)
+    return [None if vd[k] is None else vd[k] - vd[k - 1] for k in range(1, len(vd))]
+
+
+@st.composite
+def extension_matrices(draw):
+    """(p, m, rows, k): up to 4 x 4 matrices over Z[w]/(modulus), p in
+    {2, 3}, m in {2, 3}, entries m integer coefficients, often p-divisible;
+    k, when not None, is an element (with a w-part) that the first row is
+    multiplied by to give the last, so that the rank is deficient over
+    Z_{p^m} but not coefficient by coefficient."""
+    p, m = draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 3]))
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    coeff = st.builds(lambda u, e: u * p ** e, st.integers(-30, 30),
+                      st.sampled_from([0, 0, 1, 2, 5]))
+    entry = st.lists(coeff, min_size=m, max_size=m)
+    rows = [[draw(entry) for _ in range(c)] for _ in range(r)]
+    k = draw(entry) if r > 1 and draw(st.booleans()) else None
+    return p, m, rows, k
+
+
 class TestSmithOracle:
-    """certified_rank over Q_p on integer matrices against the Smith form
-    over Z, computed from gcds of minors without the library."""
+    """certified_rank against the Smith form computed without the library:
+    over Z from gcds of minors, and over Z_{p^m} from the valuations of the
+    minors."""
 
     @settings(max_examples=150, deadline=None)
     @given(integer_matrices(), st.sampled_from([4, 8, 16]))
@@ -1021,6 +1095,23 @@ class TestSmithOracle:
         f = make_field_cached(p, 1, N)
         _, divisors = certified_rank(PadicMatrix.from_ints(f, rows))
         oracle = _smith_oracle(rows, p)
+        assert len(divisors) == len(oracle)
+        for d, o in zip(divisors, oracle):
+            if is_exact(d):
+                assert d == o
+            else:
+                assert o is None or o >= d.n
+
+    @settings(max_examples=150, deadline=None)
+    @given(extension_matrices(), st.sampled_from([4, 8, 16]))
+    def test_divisors_over_unramified_extensions(self, inputs, N):
+        p, m, rows, k = inputs
+        f = make_field_cached(p, m, N)
+        if k is not None:
+            rows = rows[:-1] + [[_mulmod(k, x, f.modulus) for x in rows[0]]]
+        M = PadicMatrix(f, [[f.from_coeffs(x, N) for x in row] for row in rows])
+        _, divisors = certified_rank(M)
+        oracle = _extension_oracle(rows, f.modulus, p)
         assert len(divisors) == len(oracle)
         for d, o in zip(divisors, oracle):
             if is_exact(d):

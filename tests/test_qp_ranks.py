@@ -1,15 +1,14 @@
-"""Ranks of matrices over Q_p: certified_rank's integer path against the
-element elimination, Omega membership against its construction through
-elements, and lift soundness: what is certified at precision N must survive
-a lift of the inputs to precision 2N with arbitrary extra digits."""
+"""Ranks: certified_rank's integer kernel against the Smith form, Omega
+membership against its construction through elements, and lift soundness:
+what is certified at precision N must survive a lift of the inputs to
+precision 2N with arbitrary extra digits."""
 
 import random
-from contextlib import nullcontext
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from padicperiods import padic
+from padicperiods import padic, periods
 from padicperiods.padic import (
     AtLeast,
     PadicElement,
@@ -18,9 +17,9 @@ from padicperiods.padic import (
     certified_rank,
     is_exact,
     make_field_cached,
+    rank_below,
     smith_form,
     _int_divisors,
-    _reduce,
 )
 from padicperiods.periods import (
     OmegaVerdict,
@@ -54,15 +53,15 @@ def _qp_entry(draw, f, N, prec, w_part=False):
 
 
 @st.composite
-def qp_matrices(draw, mixed=True, w_part=False):
+def qp_matrices(draw, w_part=False):
     """Up to 4 x 4 over Q_{p^m}, p in {2, 3, 5}, m in {1, 2, 3}, N in 1-12:
-    flat precision N, or (``mixed``) per-entry precisions N, N + 2 or 2N;
+    flat precision N, or per-entry precisions N, N + 2 or 2N;
     rows that repeat an earlier row times an integer (rank deficiency)."""
     p = draw(st.sampled_from([2, 3, 5]))
     m = draw(st.sampled_from([1, 2, 3]) if not w_part else st.sampled_from([2, 3]))
     f = make_field_cached(p, m, FIELD_PREC)
     N = draw(st.integers(1, 12))
-    precs = [N] + ([N + 2, 2 * N] if mixed and draw(st.booleans()) else [])
+    precs = [N] + ([N + 2, 2 * N] if draw(st.booleans()) else [])
     r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     rows = [[_qp_entry(draw, f, N, draw(st.sampled_from(precs)), w_part) for _ in range(c)]
             for _ in range(r)]
@@ -85,26 +84,36 @@ def _outcome(fn, *args):
         return ("PrecisionError", str(exc))
 
 
+def _cut(M, N):
+    """M with every entry cut to precision N."""
+    return PadicMatrix(M.field, [[M.field.from_coeffs(e.coeffs, N, e.shift) for e in row]
+                                 for row in M.rows])
+
+
+def _zero_beside_32():
+    """[[O(2^2), 32 + O(2^10)]] over Q_2: 32 is zero at M.precision = 2."""
+    f = make_field_cached(2, 1, FIELD_PREC)
+    return PadicMatrix(f, [[f.zero(2), f.from_int(32, 10)]])
+
+
 class TestIntegerPath:
-    """certified_rank on Q_p-valued entries against _reduce(M, False)."""
+    """certified_rank, with and without w-parts, against smith_form: the
+    same divisors field by field at one precision; at mixed precisions the
+    same divisors below M.precision and AtLeast(M.precision) for the others."""
 
     @settings(max_examples=400, deadline=None)
-    @given(qp_matrices())
+    @given(st.one_of(qp_matrices(), qp_matrices(w_part=True)))
     def test_matches_element_elimination(self, M):
-        ref = _outcome(lambda: _reduce(M, False)[0])
         N = M.precision
-        flat = all(e.abs_precision == N for row in M.rows for e in row)
-        # a flat matrix must take the integer path, so _reduce must not run
-        guard = (mock.patch.object(padic, "_reduce", side_effect=AssertionError("element path"))
-                 if flat else nullcontext())
-        with guard:
-            got = _outcome(certified_rank, M)
-        if isinstance(ref, tuple):
-            assert got == ref
-            return
-        rank, divisors = got
-        assert divisors == ref
-        assert [type(d) for d in divisors] == [type(d) for d in ref]
+        with mock.patch.object(padic, "smith_form", side_effect=AssertionError("smith_form ran")):
+            rank, divisors = certified_rank(M)  # a rank builds no Smith form
+        try:
+            ref = smith_form(M).divisors
+        except PrecisionError:  # then the kernel ranks M cut to N
+            ref = smith_form(_cut(M, N)).divisors
+        expected = [d if is_exact(d) and d < N else AtLeast(N) for d in ref]
+        assert divisors == expected
+        assert [type(d) for d in divisors] == [type(d) for d in expected]
         assert rank == _reference_rank(ref, N)
 
     def test_shifted_entries(self):
@@ -113,14 +122,24 @@ class TestIntegerPath:
         f = make_field_cached(2, 1, FIELD_PREC)
         M = PadicMatrix(f, [[f.from_coeffs([1], 3, 1), f.from_coeffs([1], 3, 2)],
                             [f.from_coeffs([1], 3, 1), f.from_coeffs([3], 3, 2)]])
-        assert certified_rank(M) == (2, [-2, 0]) == (2, _reduce(M, False)[0])
+        assert certified_rank(M) == (2, [-2, 0]) == (2, smith_form(M).divisors)
 
     def test_digits_beyond_the_precision_are_dropped(self):
-        """The kernel reads its integers mod p^(N+S), as Omega hands them over
+        """The kernel reads its entries mod p^(N+S), as Omega hands them over
         with all the digits of a more precise normal: 2^6 and 2^7 at N = 4
         are zero, not entries of valuation 6 and 7."""
-        assert _int_divisors([[2 ** 6, 2 ** 6], [2 ** 6, 2 ** 7]], 2, 4, 0) == [AtLeast(4)] * 2
-        assert _int_divisors([[3 ** 5 + 1, 3 ** 4]], 3, 2, 1) == [-1]
+        Q2, Q3 = make_field_cached(2, 1, FIELD_PREC), make_field_cached(3, 1, FIELD_PREC)
+        big = [[((2 ** 6,), 0), ((2 ** 6,), 0)], [((2 ** 6,), 0), ((2 ** 7,), 0)]]
+        assert _int_divisors(Q2, big, 4) == [AtLeast(4)] * 2
+        assert _int_divisors(Q3, [[((3 ** 5 + 1,), 1), ((3 ** 3,), 0)]], 2) == [-1]
+
+    def test_mixed_precision_divisor_is_not_certified(self):
+        """The lift [[4 + O(2^4), 32 + O(2^20)]] of _zero_beside_32 has the
+        divisor 2, not 5."""
+        f = make_field_cached(2, 1, FIELD_PREC)
+        lift = PadicMatrix(f, [[f.from_int(4, 4), f.from_int(32, 20)]])
+        assert certified_rank(_zero_beside_32()) == (0, [AtLeast(2)])
+        assert certified_rank(lift) == (1, [2])
 
 
 @st.composite
@@ -184,16 +203,13 @@ def _lift_matrix(M, seed):
     return PadicMatrix(M.field, [[_lift(e, rng) for e in row] for row in M.rows])
 
 
-def _check_lift_sound(M, seed, path):
+def _check_lift_sound(M, seed):
     N = M.precision
     lifted = _lift_matrix(M, seed)
     assert lifted.precision == 2 * N
-    calls = []
-    with mock.patch.object(padic, "_reduce", side_effect=lambda *a: calls.append(1) or _reduce(*a)):
-        rank, divisors = certified_rank(M)
-        rank2, divisors2 = certified_rank(lifted, N)
-    assert bool(calls) == (path == "element")  # the path under test ran
-    assert rank2 == rank
+    rank, divisors = certified_rank(M)
+    _, divisors2 = certified_rank(lifted)
+    assert rank_below(divisors2, N) == rank
     for d, d2 in zip(divisors, divisors2):
         if is_exact(d):
             assert d2 == d
@@ -207,17 +223,11 @@ class TestLiftSoundness:
     again; exact divisors and the rank certified at N must not move, and an
     AtLeast(N) must stay at least N."""
 
-    @settings(max_examples=250, deadline=None)
-    @given(qp_matrices(mixed=False), st.integers(0, 2 ** 32))
-    def test_certified_rank_integer_path(self, M, seed):
-        _check_lift_sound(M, seed, "integer")
-
-    @settings(max_examples=150, deadline=None)
-    @given(qp_matrices(mixed=False, w_part=True), st.integers(0, 2 ** 32))
-    def test_certified_rank_element_path(self, M, seed):
-        if all(not any(e.coeffs[1:]) for row in M.rows for e in row):
-            M.rows[0][0] = M.field.from_coeffs([1, 1], M.precision)  # force a w-part
-        _check_lift_sound(M, seed, "element")
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(qp_matrices(), qp_matrices(w_part=True)), st.integers(0, 2 ** 32))
+    @example(_zero_beside_32(), 0)  # the lift puts 12 + O(2^4) beside 32
+    def test_certified_rank(self, M, seed):
+        _check_lift_sound(M, seed)
 
     @settings(max_examples=300, deadline=None)
     @given(normals(), st.integers(0, 2 ** 32))
@@ -237,7 +247,7 @@ class TestLiftSoundness:
 def _element_omega(point):
     """Omega membership as built through elements: each coordinate of each
     normal entry becomes a Q_p element at its entry's precision, then is
-    homed at the common precision; the rank comes from _reduce."""
+    homed at the common precision; rank and witness come from smith_form."""
     normal = point.normal
     n, p = len(normal), normal[0].field.p
     N = min(e.abs_precision for e in normal)
@@ -247,10 +257,10 @@ def _element_omega(point):
         own = make_field_cached(p, 1, e.abs_precision)
         coords = [PadicElement(own, (c,), e.shift, e.abs_precision) for c in e.coeffs]
         rows.append([base.from_coeffs([x.coeffs[0]], N, x.shift) for x in coords])
-    M = PadicMatrix(base, rows)
-    if _reference_rank(_reduce(M, False)[0], N) == n:
+    sf = smith_form(PadicMatrix(base, rows))
+    if _reference_rank(sf.divisors, N) == n:
         return OmegaVerdict("in_Omega")
-    witness = _primitive_scale(list(smith_form(M).L.rows[n - 1]))
+    witness = _primitive_scale(list(sf.L.rows[n - 1]))
     if witness is None:
         return OmegaVerdict("indeterminate")
     return OmegaVerdict("not_in_Omega", witness)
@@ -278,20 +288,20 @@ class TestOmegaMembership:
         point = fil_G(random_point(3, K, 5))
         rational = ProjectivePoint(point.basis, [K.one(), K.from_int(2), K.zero()])
         built, reduced = [], []
-        init, reduce_ = PadicElement.__init__, padic._reduce
+        init = PadicElement.__init__
 
         def spy_init(self, *args):
             built.append(1)
             init(self, *args)
 
-        def spy_reduce(*args):
+        def spy_smith_form(M):
             reduced.append(1)
-            return reduce_(*args)
+            return smith_form(M)
 
         monkeypatch.setattr(PadicElement, "__init__", spy_init)
-        monkeypatch.setattr(padic, "_reduce", spy_reduce)
+        monkeypatch.setattr(periods, "smith_form", spy_smith_form)
         assert omega_membership(point).status == "in_Omega"
         assert built == [] and reduced == []
-        # a rank-deficient normal takes the element path for its witness
+        # a rank-deficient normal builds elements and a Smith form for its witness
         assert omega_membership(rational).status == "not_in_Omega"
         assert built and reduced
