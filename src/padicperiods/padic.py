@@ -987,7 +987,7 @@ def _int_divisors(f, rows, N):
         wk = work[k]
         pv = p ** v
         rel = N + S - v
-        pivot_row = [(j, y) for j, y in enumerate(wk[k + 1:], k + 1) if any(y)]  # zeros change nothing
+        prel = mod // pv
         uinv = None  # inverted once, and only if an entry needs clearing
         for wi in work[k + 1:]:
             e = wi[k]
@@ -995,9 +995,10 @@ def _int_divisors(f, rows, N):
                 continue
             if uinv is None:
                 uinv = _unit_inverse(f, [x // pv for x in wk[k]], rel)
-            fct = _mul_coeffs(f, [x // pv for x in e], uinv)  # column k is not read again
-            for j, y in pivot_row:
-                wi[j] = [(a - b) % mod for a, b in zip(wi[j], _mul_coeffs(f, fct, y))]
+            # column k is not read again; the factor is known mod p^rel only
+            fct = [x % prel for x in _mul_coeffs(f, [x // pv for x in e], uinv)]
+            for j in range(k + 1, c):
+                wi[j] = [(a - b) % mod for a, b in zip(wi[j], _mul_coeffs(f, fct, wk[j]))]
         divisors.append(v - S)
     divisors += [AtLeast(N)] * (min(r, c) - len(divisors))
     return divisors

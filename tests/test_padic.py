@@ -49,6 +49,8 @@ from padicperiods.periods import (
     from_matrix,
 )
 
+from rank_checks import assert_rank_divisors, cut
+
 
 class TestFieldConstruction:
     def test_prime_field(self):
@@ -330,21 +332,6 @@ def _same_element(x, y):
     return (x.coeffs, x.shift, x.abs_precision) == (y.coeffs, y.shift, y.abs_precision)
 
 
-def _cut(M, N):
-    """M with every entry cut to precision N."""
-    return PadicMatrix(M.field, [[M.field.from_coeffs(e.coeffs, N, e.shift) for e in row]
-                                 for row in M.rows])
-
-
-def _assert_rank_divisors(divisors, ref, N):
-    """The rank kernel's divisors at precision N against a reference's: the
-    same below N and AtLeast(N) everywhere else, types included; at one flat
-    precision every exact divisor is below N, so that is equality."""
-    expected = [d if is_exact(d) and d < N else AtLeast(N) for d in ref]
-    assert divisors == expected
-    assert [type(d) for d in divisors] == [type(d) for d in expected]
-
-
 class TestSharedElimination:
     """The rank kernel agrees with the Smith form, and the Smith form of X
     serves its transpose."""
@@ -357,8 +344,8 @@ class TestSharedElimination:
         try:
             sf = smith_form(M)
         except PrecisionError:  # then the kernel ranks M cut to N
-            sf = smith_form(_cut(M, N))
-        _assert_rank_divisors(divisors, sf.divisors, N)
+            sf = smith_form(cut(M, N))
+        assert_rank_divisors(divisors, sf.divisors, N)
         assert rank == rank_below(sf.divisors, N)
 
     @settings(max_examples=60, deadline=None)
@@ -838,7 +825,7 @@ def _check_reduce_against_reference(M):
     of M itself the ones below N, AtLeast(N) for the others."""
     N = M.precision
     _, divisors = certified_rank(M)
-    _assert_rank_divisors(divisors, _reference_smith(_cut(M, N))[0], N)
+    assert_rank_divisors(divisors, _reference_smith(cut(M, N))[0], N)
     out = _same_outcome(_reference_smith, smith_form, M)
     if out is None:
         return
@@ -850,7 +837,7 @@ def _check_reduce_against_reference(M):
         for rr, rg in zip(ref, got.rows, strict=True):
             assert all(_same_element(x, y) for x, y in zip(rr, rg, strict=True))
     assert [_plain_valuation(x) for x in sf.pivots] == [d for d in div if is_exact(d)]
-    _assert_rank_divisors(divisors, div, N)
+    assert_rank_divisors(divisors, div, N)
 
 
 def _same_outcome(reference, fast, *args):
