@@ -948,9 +948,9 @@ def _int_divisors(f, rows, N):
     certifies more.  The pivot is the first entry of least valuation v in
     row-major order, with ``smith_form``'s row and column swaps, and a
     pivot p^v * u clears each entry e below it by the factor (e / p^v) *
-    u^-1, u^-1 taken mod p^(N+S-v), every update reduced mod p^(N+S).  That
-    is exact, so no precision is tracked: e has valuation >= v, so the
-    factor is integral and its error is a multiple of p^(N+S-v) in
+    u^-1 mod p^(N+S-v), every update reduced mod p^(N+S).  That is exact,
+    so no precision is tracked: e has valuation >= v, so the factor is
+    integral and its error is a multiple of p^(N+S-v) in
     Z[w]/(modulus), and every entry of the pivot row has valuation >= v, so
     the error times any of them vanishes mod p^(N+S).  Each entry thus
     stays at precision N, as in ``smith_form`` at one flat precision, and
