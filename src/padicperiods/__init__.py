@@ -50,7 +50,6 @@ from .periods import (
 from .ledger import (
     CMDatum,
     HeightLedger,
-    ValuationExpr,
     beta_integrality,
     check_sum_identity,
     cm_period_valuations,

@@ -21,6 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import formal, ledger as ledger_mod, models, periods, semilinear
+from .ledger import _frac_str
 from .padic import (
     PrecisionError,
     _is_prime,
@@ -140,11 +141,7 @@ def cmd_correspond(args):
             return EXIT_BAD_FLAGS
         report["source"] = {"seed": args.seed, "m": m}
         K = make_field_cached(args.p, m, precision)
-        try:
-            pm = periods.random_point(n, K, args.seed)
-        except PrecisionError as exc:
-            print(f"correspond: {exc}", file=sys.stderr)
-            return EXIT_INDETERMINATE
+        pm = periods.random_point(n, K, args.seed)
     pt = periods.correspond(pm)
     fg, fh = periods.fil_G(pm), periods.fil_H(pm)
     fg_t, fh_t = periods.fil_G(pt), periods.fil_H(pt)
@@ -173,7 +170,6 @@ def cmd_correspond(args):
 
 
 def cmd_ledger(args):
-    checks = []
     if args.heights:
         try:
             n, ht_h, ht_g, ht_d = (int(x) for x in args.heights.split(","))
@@ -189,8 +185,8 @@ def cmd_ledger(args):
         report = {
             "command": "ledger",
             "heights": {"n": n, "ht_rho_H": ht_h, "ht_rho_G": ht_g, "ht_Delta": ht_d},
-            "det_valuation_LT": ledger_mod.det_valuation_LT(led).to_json(),
-            "det_valuation_Dr": ledger_mod.det_valuation_Dr(led).to_json(),
+            "det_valuation_LT": _frac_str(verdict.lt_value),
+            "det_valuation_Dr": _frac_str(verdict.dr_value),
             "height_transfer": verdict.to_json(),
             "pass": verdict.consistent,
         }
@@ -204,35 +200,19 @@ def cmd_ledger(args):
     except ValueError as exc:
         print(f"ledger: {exc}", file=sys.stderr)
         return EXIT_BAD_FLAGS
-    ys = datum.y_valuations()
-    checks.append(
-        ledger_mod.check_report(
-            "sum_identity",
-            {"p": args.p, "h": args.h, "i0": args.i0},
-            True,
-            ledger_mod.check_sum_identity(datum),
+    inputs = {"p": args.p, "h": args.h, "i0": args.i0}
+    checks = [
+        ledger_mod.check_report(name, inputs, expected, computed)
+        for name, expected, computed in (
+            ("sum_identity", True, ledger_mod.check_sum_identity(datum)),
+            ("functional_equation", True, ledger_mod.functional_equation_valuations(datum)),
+            ("beta_integrality", Fraction(0), ledger_mod.beta_integrality(datum)),
         )
-    )
-    checks.append(
-        ledger_mod.check_report(
-            "functional_equation",
-            {"p": args.p, "h": args.h, "i0": args.i0},
-            True,
-            ledger_mod.functional_equation_valuations(datum),
-        )
-    )
-    checks.append(
-        ledger_mod.check_report(
-            "beta_integrality",
-            {"p": args.p, "h": args.h, "i0": args.i0},
-            ledger_mod.ValuationExpr(Fraction(0)),
-            ledger_mod.beta_integrality(datum),
-        )
-    )
+    ]
     report = {
         "command": "ledger",
-        "cm": {"p": args.p, "h": args.h, "i0": args.i0},
-        "y_valuations": [y.to_json() for y in ys],
+        "cm": inputs,
+        "y_valuations": [_frac_str(y) for y in datum.y_valuations()],
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }

@@ -8,7 +8,7 @@ field arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .padic import _is_prime
@@ -16,49 +16,6 @@ from .padic import _is_prime
 
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-@dataclass(frozen=True)
-class ValuationExpr:
-    """An exact p-adic valuation (v(p) = 1)."""
-
-    value: Fraction
-
-    def __add__(self, other):
-        return ValuationExpr(self.value + _val(other))
-
-    def __sub__(self, other):
-        return ValuationExpr(self.value - _val(other))
-
-    def __neg__(self):
-        return ValuationExpr(-self.value)
-
-    def __mul__(self, other):
-        return ValuationExpr(self.value * _val(other))
-
-    def __eq__(self, other):
-        return self.value == _val(other)
-
-    def __lt__(self, other):
-        return self.value < _val(other)
-
-    def __le__(self, other):
-        return self.value <= _val(other)
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __str__(self):
-        return _frac_str(self.value)
-
-    def to_json(self):
-        return _frac_str(self.value)
-
-
-def _val(x):
-    if isinstance(x, ValuationExpr):
-        return x.value
-    return Fraction(x)
 
 
 @dataclass
@@ -77,30 +34,17 @@ class HeightLedger:
 
 @dataclass
 class CMDatum:
-    """One-dimensional CM datum of height h with critical index i_0.
-
-    The general multi-index type (a_i with sum d) is stored for forward
-    compatibility but only the d = 1 case is computed.
-    """
+    """One-dimensional CM datum of height h with critical index i_0."""
 
     p: int
     h: int
     i_0: int
-    a: list = dc_field(default_factory=list)
 
     def __post_init__(self):
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         if not (0 <= self.i_0 < self.h):
             raise ValueError("critical index out of range")
-        if not self.a:
-            self.a = [1 if i == self.i_0 else 0 for i in range(self.h)]
-        if any(x < 0 for x in self.a):
-            raise ValueError("negative multiplicity")
-
-    @property
-    def d(self):
-        return sum(self.a)
 
     def y_valuations(self):
         return cm_period_valuations(self.p, self.h, self.i_0)
@@ -118,25 +62,20 @@ def cm_period_valuations(p, h, i_0):
     out = []
     for i in range(h):
         e = i - i_0 if i >= i_0 else h + i - i_0
-        out.append(ValuationExpr(Fraction(p ** e, q)))
+        out.append(Fraction(p ** e, q))
     return out
 
 
 def check_sum_identity(datum: CMDatum) -> bool:
     """Sum of the period valuations equals v(t) = 1/(p-1)."""
-    if datum.d != 1:
-        raise ValueError("only d = 1 is computed")
-    total = sum((v.value for v in datum.y_valuations()), Fraction(0))
-    return total == Fraction(1, datum.p - 1)
+    return beta_integrality(datum) == 0
 
 
 def functional_equation_valuations(datum: CMDatum) -> bool:
     """Frobenius multiplies flat-coordinate valuations by p, inserting one
     factor of p per cycle: p*v(y_i) = v(y_{i+1 mod h}) + [i+1 = i_0 mod h].
     """
-    if datum.d != 1:
-        raise ValueError("only d = 1 is computed")
-    ys = [v.value for v in datum.y_valuations()]
+    ys = datum.y_valuations()
     p, h, i0 = datum.p, datum.h, datum.i_0
     for i in range(h):
         bump = 1 if (i + 1) % h == i0 % h else 0
@@ -145,31 +84,31 @@ def functional_equation_valuations(datum: CMDatum) -> bool:
     return True
 
 
-def det_valuation_LT(ledger: HeightLedger) -> ValuationExpr:
+def det_valuation_LT(ledger: HeightLedger) -> Fraction:
     """v_p of the period determinant scalar on the rank-n side:
     -ht_rho_H - n(n-1)/2."""
     n = ledger.n
-    return ValuationExpr(-Fraction(ledger.ht_rho_H) - Fraction(n * (n - 1), 2))
+    return -Fraction(ledger.ht_rho_H) - Fraction(n * (n - 1), 2)
 
 
-def det_valuation_Dr(ledger: HeightLedger) -> ValuationExpr:
+def det_valuation_Dr(ledger: HeightLedger) -> Fraction:
     """v_p of the determinant scalar on the rank-n^2 side:
     -ht_rho_G/n - ht_Delta."""
-    return ValuationExpr(-Fraction(ledger.ht_rho_G, ledger.n) - ledger.ht_Delta)
+    return -Fraction(ledger.ht_rho_G, ledger.n) - ledger.ht_Delta
 
 
 @dataclass
 class TransferVerdict:
     consistent: bool
-    lt_value: ValuationExpr
-    dr_value: ValuationExpr
+    lt_value: Fraction
+    dr_value: Fraction
     normalized_height: Fraction | None
 
     def to_json(self):
         return {
             "consistent": self.consistent,
-            "det_valuation_LT": self.lt_value.to_json(),
-            "det_valuation_Dr": self.dr_value.to_json(),
+            "det_valuation_LT": _frac_str(self.lt_value),
+            "det_valuation_Dr": _frac_str(self.dr_value),
             "normalized_height": (
                 _frac_str(self.normalized_height)
                 if self.normalized_height is not None
@@ -182,10 +121,8 @@ def height_transfer(ledger: HeightLedger) -> TransferVerdict:
     """With ht_Delta = n(n-1)/2, the two determinant laws agree exactly when
     the normalized heights match: ht_rho_H = ht_rho_G / n."""
     n = ledger.n
-    if ledger.ht_Delta != n * (n - 1) // 2 or (n * (n - 1)) % 2 != 0:
-        raise ValueError(
-            f"transfer requires ht_Delta = n(n-1)/2 = {Fraction(n * (n - 1), 2)}"
-        )
+    if ledger.ht_Delta != n * (n - 1) // 2:
+        raise ValueError(f"transfer requires ht_Delta = n(n-1)/2 = {n * (n - 1) // 2}")
     lt = det_valuation_LT(ledger)
     dr = det_valuation_Dr(ledger)
     consistent = lt == dr
@@ -194,29 +131,24 @@ def height_transfer(ledger: HeightLedger) -> TransferVerdict:
     return TransferVerdict(consistent, lt, dr, height)
 
 
-def lt_character_valuation(i, p, h) -> ValuationExpr:
+def lt_character_valuation(i, p, h) -> Fraction:
     """Valuation p^i/(p^h - 1) of the canonical invariant attached to the
     i-th Frobenius twist of the height-h character."""
     if not (0 <= i < h):
         raise ValueError("index out of range")
-    return ValuationExpr(Fraction(p ** i, p ** h - 1))
+    return Fraction(p ** i, p ** h - 1)
 
 
-def beta_integrality(datum: CMDatum) -> ValuationExpr:
+def beta_integrality(datum: CMDatum) -> Fraction:
     """v(beta) = sum v(y_i) - 1/(p-1); the determinant-of-periods unit law
     says this is exactly 0."""
-    if datum.d != 1:
-        raise ValueError("only d = 1 is computed")
-    total = sum((v.value for v in datum.y_valuations()), Fraction(0))
-    return ValuationExpr(total - Fraction(1, datum.p - 1))
+    return sum(datum.y_valuations(), Fraction(0)) - Fraction(1, datum.p - 1)
 
 
 def check_report(check, inputs, expected, computed):
     """Uniform JSON report row for one exact check."""
 
     def enc(x):
-        if isinstance(x, ValuationExpr):
-            return x.to_json()
         if isinstance(x, Fraction):
             return _frac_str(x)
         if isinstance(x, (list, tuple)):

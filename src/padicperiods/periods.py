@@ -231,18 +231,13 @@ def _embed_rational(g, K, precision):
     if isinstance(g, PadicMatrix):
         if g.field == K:
             return g
-        return PadicMatrix(
-            K,
-            [
-                [
-                    K.from_coeffs([e.coeffs[0]], min(e.abs_precision, precision), e.shift)
-                    if e.field.m == 1
-                    else (_ for _ in ()).throw(ValueError("g must be rational"))
-                    for e in row
-                ]
-                for row in g.rows
-            ],
-        )
+        if g.field.m != 1:
+            raise ValueError("g must be rational")
+        rows = [
+            [K.from_coeffs([e.coeffs[0]], min(e.abs_precision, precision), e.shift) for e in row]
+            for row in g.rows
+        ]
+        return PadicMatrix(K, rows)
     return PadicMatrix.from_ints(K, g, precision)
 
 

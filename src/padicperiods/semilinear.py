@@ -191,14 +191,14 @@ class AdmissibilityReport:
                 {
                     "dim": d,
                     "t_H": tH,
-                    "t_N": [tN.numerator, tN.denominator],
+                    "t_N": _frac_str(tN),
                     "ok": ok,
                 }
                 for d, tH, tN, ok in self.sub_reports
             ],
             "full": {
                 "t_H": self.full_t_H,
-                "t_N": [self.full_t_N.numerator, self.full_t_N.denominator],
+                "t_N": _frac_str(self.full_t_N),
             },
             "admissible": self.admissible,
         }

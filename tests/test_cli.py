@@ -355,6 +355,16 @@ class TestPrecisionErrorExit:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("indeterminate: ")
 
+    def test_sampler_precision_error_is_indeterminate(self, capsys):
+        # at precision 2 this seed draws a candidate whose inverse has no digits
+        code, out, err = run(
+            capsys, ["correspond", "--n", "2", "--m", "2", "--precision", "2", "--seed", "14"]
+        )
+        assert code == cli.EXIT_INDETERMINATE
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("indeterminate: ")
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from padicperiods.ledger import (
     CMDatum,
     HeightLedger,
-    ValuationExpr,
     beta_integrality,
     check_report,
     check_sum_identity,
@@ -25,16 +24,16 @@ SMALL_PRIMES = [2, 3, 5]
 
 class TestCMTable:
     def test_h3_critical_zero(self):
-        vals = [v.value for v in cm_period_valuations(2, 3, 0)]
+        vals = cm_period_valuations(2, 3, 0)
         assert vals == [Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)]
 
     def test_h3_critical_one(self):
-        vals = [v.value for v in cm_period_valuations(2, 3, 1)]
+        vals = cm_period_valuations(2, 3, 1)
         assert vals == [Fraction(4, 7), Fraction(1, 7), Fraction(2, 7)]
 
     def test_h1(self):
         for p in SMALL_PRIMES:
-            assert cm_period_valuations(p, 1, 0)[0].value == Fraction(1, p - 1)
+            assert cm_period_valuations(p, 1, 0)[0] == Fraction(1, p - 1)
 
     def test_index_range(self):
         with pytest.raises(ValueError):
@@ -47,9 +46,7 @@ class TestCMTable:
                 base = cm_period_valuations(p, h, 0)
                 for i0 in range(h):
                     rot = cm_period_valuations(p, h, i0)
-                    assert [v.value for v in rot] == [
-                        base[(i - i0) % h].value for i in range(h)
-                    ]
+                    assert rot == [base[(i - i0) % h] for i in range(h)]
 
 
 class TestIdentities:
@@ -64,12 +61,12 @@ class TestIdentities:
         datum = CMDatum(p, h, i0)
         assert check_sum_identity(datum)
         assert functional_equation_valuations(datum)
-        assert beta_integrality(datum) == ValuationExpr(Fraction(0))
+        assert beta_integrality(datum) == Fraction(0)
 
     def test_functional_equation_wrap(self):
         # p*v(y_{h-1}) picks up the extra factor p at the critical wrap
         datum = CMDatum(2, 3, 0)
-        ys = [v.value for v in datum.y_valuations()]
+        ys = datum.y_valuations()
         assert 2 * ys[2] == ys[0] + 1
 
     def test_character_matches_table(self):
@@ -80,26 +77,26 @@ class TestIdentities:
                     assert lt_character_valuation(i, p, h) == table[i]
 
     def test_character_examples(self):
-        assert lt_character_valuation(2, 2, 3).value == Fraction(4, 7)
-        assert lt_character_valuation(1, 3, 2).value == Fraction(3, 8)
-        assert lt_character_valuation(0, 5, 1).value == Fraction(1, 4)
+        assert lt_character_valuation(2, 2, 3) == Fraction(4, 7)
+        assert lt_character_valuation(1, 3, 2) == Fraction(3, 8)
+        assert lt_character_valuation(0, 5, 1) == Fraction(1, 4)
 
 
 class TestDetLaws:
     def test_lt_examples(self):
-        assert det_valuation_LT(HeightLedger(2, 0, 0, 1)).value == -1
-        assert det_valuation_LT(HeightLedger(3, 2, 0, 3)).value == -5
-        assert det_valuation_LT(HeightLedger(1, 0, 0, 0)).value == 0
+        assert det_valuation_LT(HeightLedger(2, 0, 0, 1)) == -1
+        assert det_valuation_LT(HeightLedger(3, 2, 0, 3)) == -5
+        assert det_valuation_LT(HeightLedger(1, 0, 0, 0)) == 0
 
     def test_dr_examples(self):
-        assert det_valuation_Dr(HeightLedger(2, 0, 0, 1)).value == -1
-        assert det_valuation_Dr(HeightLedger(3, 0, 3, 3)).value == -4
-        assert det_valuation_Dr(HeightLedger(1, 0, 0, 0)).value == 0
+        assert det_valuation_Dr(HeightLedger(2, 0, 0, 1)) == -1
+        assert det_valuation_Dr(HeightLedger(3, 0, 3, 3)) == -4
+        assert det_valuation_Dr(HeightLedger(1, 0, 0, 0)) == 0
 
     def test_lt_strictly_decreasing_in_height(self):
         prev = None
         for ht in range(-6, 7):
-            v = det_valuation_LT(HeightLedger(3, ht, 0, 3)).value
+            v = det_valuation_LT(HeightLedger(3, ht, 0, 3))
             if prev is not None:
                 assert v < prev
             prev = v
@@ -135,10 +132,28 @@ class TestTransfer:
 class TestReports:
     def test_check_report_encoding(self):
         r = check_report(
-            "x", {"p": 2}, ValuationExpr(Fraction(1, 2)), ValuationExpr(Fraction(1, 2))
+            "x", {"p": 2}, Fraction(1, 2), Fraction(1, 2)
         )
         assert r["pass"] and r["expected"] == "1/2"
 
     def test_check_report_mismatch(self):
         r = check_report("x", {}, Fraction(1), Fraction(2))
         assert not r["pass"]
+
+
+class TestFractionResults:
+    def test_every_valuation_is_a_fraction(self):
+        datum = CMDatum(3, 4, 1)
+        led = HeightLedger(3, 2, 6, 3)
+        verdict = height_transfer(led)
+        values = [
+            *cm_period_valuations(3, 4, 1),
+            *datum.y_valuations(),
+            det_valuation_LT(led),
+            det_valuation_Dr(led),
+            verdict.lt_value,
+            verdict.dr_value,
+            lt_character_valuation(2, 3, 4),
+            beta_integrality(datum),
+        ]
+        assert all(type(v) is Fraction for v in values)

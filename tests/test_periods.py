@@ -11,6 +11,7 @@ from padicperiods.padic import (
     PrecisionError,
     certified_rank,
     make_field_cached,
+    matrix_to_json,
 )
 from padicperiods.models import build_DH, iota_matrix, od_multiply
 from padicperiods.periods import (
@@ -252,6 +253,20 @@ class TestAction:
         for _ in range(5):
             out = act(self._rand_g(rng), [1, 0], pm, model)
             assert omega_membership(fil_G(out)).in_omega
+
+    def test_padic_matrix_g_matches_int_g(self, setup):
+        K, model, pm = setup
+        g = [[3, 2], [5, 1]]
+        Q2 = make_field_cached(2, 1, 32)
+        by_matrix = act(PadicMatrix.from_ints(Q2, g, 32), [1, 0], pm, model)
+        by_ints = act(g, [1, 0], pm, model)
+        assert matrix_to_json(by_matrix.X) == matrix_to_json(by_ints.X)
+
+    def test_g_over_extension_field_rejected(self, setup):
+        K, model, pm = setup
+        Q8 = make_field_cached(2, 3, 32)
+        with pytest.raises(ValueError, match="g must be rational"):
+            act(PadicMatrix.identity(Q8, 2), [1, 0], pm, model)
 
     def test_field_containment_required(self):
         K = make_field_cached(2, 2, 16)

@@ -127,6 +127,7 @@ class TestAdmissibility:
             rep = weak_admissibility_sample(FilteredIsocrystal(phi_iso, fil), [])
             assert rep.admissible
             assert rep.full_t_N == Fraction(n - 1)
+            assert rep.to_json()["full"]["t_N"] == f"{n - 1}/1"
 
     def test_rational_line_in_fil_violates(self, Q4):
         # unit-root isocrystal with Fil containing a phi-stable line:
@@ -138,6 +139,9 @@ class TestAdmissibility:
         assert not rep.admissible
         assert rep.sub_reports[0][1] == 1  # t_H
         assert rep.sub_reports[0][2] == 0  # t_N
+        js = rep.to_json()
+        assert js["sub_objects"][0]["t_N"] == "0/1"
+        assert js["full"]["t_N"] == "0/1"
 
     def test_fil_avoiding_lines_passes_subchecks(self, Q4):
         w = Q4.generator()
