@@ -855,6 +855,14 @@ def _fused(f, x, a, b, sign):
     return _normal(f.p, coeffs, s, N if N < Np else Np)
 
 
+def _zero_quotient(zero, n):
+    """x / pivot for a zero x, at its precision n = N_x - v_pivot, as a
+    kernel entry; PrecisionError for n < 1, as the element quotient."""
+    if n < 1:
+        raise PrecisionError("quotient has no significant digits")
+    return zero[0], 0, n, None
+
+
 def smith_form(M: PadicMatrix) -> SmithForm:
     """Smith-style reduction with minimal-valuation pivoting and transforms.
 
@@ -863,7 +871,11 @@ def smith_form(M: PadicMatrix) -> SmithForm:
     if an entry needs clearing.  The clearing factor e / pivot has the
     quotient's precision, which 1/pivot may lack, so each entry equals the
     element fold x - (e / pivot) * y and every PrecisionError is raised
-    where it would.  Only the pivots and transforms become PadicElements.
+    where it would.  A zero entry x of the pivot row or column is known
+    only mod p^N_x, so it is cleared too, by the zero factor x / pivot at
+    precision N_x - v: its updates only cap precisions, and skipping them
+    would give the transforms digits that M does not determine.  Only the
+    pivots and transforms become PadicElements.
     """
     f = M.field
     r, c = M.nrows, M.ncols
@@ -902,9 +914,8 @@ def smith_form(M: PadicMatrix) -> SmithForm:
             invertible = invertible and pinv[2] >= 1
         for i in range(k + 1, r):
             wi = work[i]
-            if wi[k][3] is None:
-                continue
-            fct = _times(f, wi[k], pinv)
+            fct = (_zero_quotient(zero, wi[k][2] - v) if wi[k][3] is None
+                   else _times(f, wi[k], pinv))
             for j in range(k, c):
                 wi[j] = _fused(f, wi[j], fct, wk[j], -1)
             Li, Lk = L[i], L[k]
@@ -913,9 +924,8 @@ def smith_form(M: PadicMatrix) -> SmithForm:
                 row = Linv[j]
                 row[k] = _fused(f, row[k], fct, row[i], 1)
         for j in range(k + 1, c):
-            if wk[j][3] is None:
-                continue
-            fct = _times(f, wk[j], pinv)
+            fct = (_zero_quotient(zero, wk[j][2] - v) if wk[j][3] is None
+                   else _times(f, wk[j], pinv))
             for row in work:
                 row[j] = _fused(f, row[j], row[k], fct, -1)
             for row in R:

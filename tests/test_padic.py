@@ -9,7 +9,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from padicperiods import padic
 from padicperiods.padic import (
@@ -332,6 +332,20 @@ def _same_element(x, y):
     return (x.coeffs, x.shift, x.abs_precision) == (y.coeffs, y.shift, y.abs_precision)
 
 
+def _zero_in_pivot_column():
+    """A rank-3 matrix over Q_4 whose third pivot has the zero 0 + O(2^8) of
+    row 2 below it: rows 2 and 3 satisfy X[2] = 128 * X[3], so the left
+    kernel is spanned by (0, 0, 1, -128)."""
+    f = make_field_cached(2, 2, PREC)
+    u = [-1, -1]
+    return PadicMatrix(f, [
+        [f.zero(8), f.from_coeffs([-5, -5], 8, 2), f.from_coeffs(u, 8, 3), f.from_coeffs(u, 8, 2)],
+        [f.zero(10), f.zero(10), f.from_coeffs(u, 8, 2), f.zero(10)],
+        [f.zero(17), f.from_coeffs([-128, -128], 10), f.zero(8), f.from_coeffs([-128, -128], 10)],
+        [f.zero(10), f.from_coeffs(u, 10), f.zero(8), f.from_coeffs(u, 10)],
+    ])
+
+
 class TestSharedElimination:
     """The rank kernel agrees with the Smith form, and the Smith form of X
     serves its transpose."""
@@ -350,6 +364,7 @@ class TestSharedElimination:
 
     @settings(max_examples=60, deadline=None)
     @given(elimination_inputs(square_corank_one=True))
+    @example(_zero_in_pivot_column())
     def test_correspond_carries_transposed_smith_form(self, X):
         try:
             pm = from_matrix(X)
@@ -377,6 +392,18 @@ class TestSharedElimination:
         for rg, rh in zip(g.basis.rows, h.basis.rows):
             assert all(_same_element(x, y) for x, y in zip(rg, rh))
         assert all(_same_element(x, y) for x, y in zip(g.normal, h.normal))
+
+    def test_zero_below_a_pivot_caps_the_kernel_covector(self):
+        # the elimination leaves 0 + O(2^9) below the pivot 12(1 + w), so
+        # the factor 0 / pivot is known mod 2^7 only, and so is the
+        # covector's last entry, -128: a claim of 2^8 excludes the kernel
+        X = _zero_in_pivot_column()
+        pm = from_matrix(X)
+        assert pm.divisors == [-3, -1, 2, AtLeast(8)]
+        normal = fil_G(pm).normal
+        kernel = [0, 0, 1, -128]
+        assert all((x - k).is_zero_at_precision() for x, k in zip(normal, kernel))
+        assert normal[3].abs_precision == 7
 
 
 @st.composite
@@ -713,7 +740,8 @@ def _reference_quotient(x, y):
 
 
 def _reference_smith(M):
-    """Smith-style reduction dividing by the pivot at every entry it clears."""
+    """Smith-style reduction dividing by the pivot at every entry it clears,
+    zero entries included: x / pivot for a zero x caps what it touches."""
     f, r, c, N = M.field, M.nrows, M.ncols, M.precision
     work = [row[:] for row in M.rows]
     L, Linv = PadicMatrix.identity(f, r, N).rows, PadicMatrix.identity(f, r, N).rows
@@ -734,8 +762,6 @@ def _reference_smith(M):
         Rinv[k], Rinv[bj] = Rinv[bj], Rinv[k]
         pivot = work[k][k]
         for i in range(k + 1, r):
-            if work[i][k].is_zero_at_precision():
-                continue
             fct = work[i][k] / pivot
             for j in range(k, c):
                 work[i][j] = work[i][j] - fct * work[k][j]
@@ -743,8 +769,6 @@ def _reference_smith(M):
                 L[i][j] = L[i][j] - fct * L[k][j]
                 Linv[j][k] = Linv[j][k] + fct * Linv[j][i]
         for j in range(k + 1, c):
-            if work[k][j].is_zero_at_precision():
-                continue
             fct = work[k][j] / pivot
             for i in range(r):
                 work[i][j] = work[i][j] - work[i][k] * fct
