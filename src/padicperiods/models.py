@@ -10,7 +10,9 @@ Frobenius is p * V^{-1}, the matrix with superdiagonal p's and a 1 in the
 bottom-left corner.
 
 The special model has basis e_{a,b} indexed by (a, b) in (Z/n)^2, flattened
-as a*n + b; the grading index of e_{a,b} is a + b mod n.
+as a*n + b; the grading index of e_{a,b} is a + b mod n.  It is n blocks of
+the height-n cycle, so V, p V^{-1} and the order action are built once for
+``copies`` blocks, and the height-n model is the one-block case.
 """
 
 from __future__ import annotations
@@ -28,26 +30,22 @@ from .semilinear import Isocrystal
 
 
 @dataclass
-class LubinTateModel:
-    """Rank-n module with V(Pi^j (x) a) = Pi^{j+1} (x) sigma^{-1}(a), Pi^n = p."""
+class _CyclicModel:
+    """Shared body of both models: n, the coefficient field and V, p V^{-1}."""
 
     n: int
     field: FieldDescriptor  # W(F_{p^n})-approximant, used for the order action
     V_matrix: PadicMatrix  # sigma^{-1}-semilinear, normalized coordinates
     frobenius_matrix: PadicMatrix  # p * V^{-1}, sigma-semilinear
 
-    @property
-    def basis_labels(self):
-        return [f"Pi^{j}" for j in range(self.n)]
-
     def isocrystal(self, field=None):
         """Slope-carrying operator as an isocrystal (entries are rational)."""
-        if field is None:
-            return Isocrystal(self.V_matrix.field, self.n, self.V_matrix)
-        M = PadicMatrix.from_ints(
-            field, [[_int_entry(e) for e in row] for row in self.V_matrix.rows]
-        )
-        return Isocrystal(field, self.n, M)
+        V = self.V_matrix
+        if field is not None:
+            V = PadicMatrix.from_ints(
+                field, [[_int_entry(e) for e in row] for row in V.rows]
+            )
+        return Isocrystal(V.field, V.nrows, V)
 
     def to_json(self):
         return {
@@ -59,13 +57,17 @@ class LubinTateModel:
 
 
 @dataclass
-class SpecialModel:
-    """Rank-n^2 module with V(e_{a,b}) = p^{[b = n-1]} e_{a,b+1}."""
+class LubinTateModel(_CyclicModel):
+    """Rank-n module with V(Pi^j (x) a) = Pi^{j+1} (x) sigma^{-1}(a), Pi^n = p."""
 
-    n: int
-    field: FieldDescriptor
-    V_matrix: PadicMatrix
-    frobenius_matrix: PadicMatrix
+    @property
+    def basis_labels(self):
+        return [f"Pi^{j}" for j in range(self.n)]
+
+
+@dataclass
+class SpecialModel(_CyclicModel):
+    """Rank-n^2 module with V(e_{a,b}) = p^{[b = n-1]} e_{a,b+1}."""
 
     def index(self, a, b):
         return (a % self.n) * self.n + (b % self.n)
@@ -82,14 +84,6 @@ class SpecialModel:
     def graded_piece_indices(self, i):
         return [k for k in range(self.n * self.n) if self.grading(k) == i]
 
-    def isocrystal(self, field=None):
-        if field is None:
-            return Isocrystal(self.V_matrix.field, self.n * self.n, self.V_matrix)
-        M = PadicMatrix.from_ints(
-            field, [[_int_entry(e) for e in row] for row in self.V_matrix.rows]
-        )
-        return Isocrystal(field, self.n * self.n, M)
-
     def unit_root_operator(self, field=None):
         """V^{-1} Pi restricted to the grade-0 piece: the identity matrix,
         acting sigma-semilinearly (a unit-root isocrystal of rank n)."""
@@ -98,10 +92,7 @@ class SpecialModel:
 
     def to_json(self):
         return {
-            "n": self.n,
-            "basis_labels": self.basis_labels,
-            "V_matrix": matrix_to_json(self.V_matrix),
-            "phi_matrix": matrix_to_json(self.frobenius_matrix),
+            **super().to_json(),
             "grading": [self.grading(k) for k in range(self.n * self.n)],
         }
 
@@ -122,64 +113,42 @@ def _int_entry(e: PadicElement) -> int:
     return e.coeffs[0]
 
 
-def _v_cycle_matrix(field, n, precision=None):
-    """Subdiagonal 1s, p in the top-right wrap position; [p] when n = 1."""
-    p = field.p
-    rows = [[0] * n for _ in range(n)]
-    if n == 1:
-        rows[0][0] = p
-    else:
-        for j in range(n - 1):
-            rows[j + 1][j] = 1
-        rows[0][n - 1] = p
-    return PadicMatrix.from_ints(field, rows, precision)
+def _cyclic(n, copies, precision, base_p, frobenius=False):
+    """V on ``copies`` blocks of size n, e_{a,b} -> p^{[b = n-1]} e_{a,b+1},
+    or with ``frobenius`` its p V^{-1}, e_{a,b+1} -> p^{[b != n-1]} e_{a,b}."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    size = copies * n
+    rows = [[0] * size for _ in range(size)]
+    for a in range(copies):
+        for b in range(n):
+            src, dst = a * n + b, a * n + (b + 1) % n
+            if frobenius:
+                rows[src][dst] = 1 if b == n - 1 else base_p
+            else:
+                rows[dst][src] = base_p if b == n - 1 else 1
+    return PadicMatrix.from_ints(make_field_cached(base_p, 1, precision), rows, precision)
 
 
 def build_DH(n, precision=32, base_p=2):
     """The rank-n model over W(F_{p^n}); V has slope 1/n with multiplicity n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    coeff_field = make_field_cached(base_p, n, precision)
-    rational = make_field_cached(base_p, 1, precision)
-    V = _v_cycle_matrix(rational, n, precision)
+    V = _cyclic(n, 1, precision, base_p)
     phi = phi_matrix(n, precision, base_p)
-    return LubinTateModel(n, coeff_field, V, phi)
+    return LubinTateModel(n, make_field_cached(base_p, n, precision), V, phi)
 
 
 def phi_matrix(n, precision=32, base_p=2):
     """The Frobenius matrix: superdiagonal p's, bottom-left 1; [p] for n = 1."""
-    rational = make_field_cached(base_p, 1, precision)
-    p = base_p
-    rows = [[0] * n for _ in range(n)]
     if n == 1:
-        rows[0][0] = p
-    else:
-        for j in range(n - 1):
-            rows[j][j + 1] = p
-        rows[n - 1][0] = 1
-    return PadicMatrix.from_ints(rational, rows, precision)
+        return _cyclic(1, 1, precision, base_p)  # V = [p]
+    return _cyclic(n, 1, precision, base_p, frobenius=True)
 
 
 def build_DG(n, precision=32, base_p=2):
-    """The rank-n^2 special model; V permutes e_{a,b} -> e_{a,b+1} with one p."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    coeff_field = make_field_cached(base_p, n, precision)
-    rational = make_field_cached(base_p, 1, precision)
-    p = base_p
-    nn = n * n
-    rowsV = [[0] * nn for _ in range(nn)]
-    rowsF = [[0] * nn for _ in range(nn)]
-    for a in range(n):
-        for b in range(n):
-            src = a * n + b
-            dst = a * n + (b + 1) % n
-            rowsV[dst][src] = p if b == n - 1 else 1
-            # phi = p * V^{-1}: e_{a,b+1} -> p^{1-[b=n-1]} e_{a,b}
-            rowsF[src][dst] = 1 if b == n - 1 else p
-    V = PadicMatrix.from_ints(rational, rowsV, precision)
-    phi = PadicMatrix.from_ints(rational, rowsF, precision)
-    return SpecialModel(n, coeff_field, V, phi)
+    """The rank-n^2 special model: the height-n cycle on each of n blocks."""
+    V = _cyclic(n, n, precision, base_p)
+    phi = _cyclic(n, n, precision, base_p, frobenius=True)
+    return SpecialModel(n, make_field_cached(base_p, n, precision), V, phi)
 
 
 def _orbit(x, m):
@@ -190,6 +159,32 @@ def _orbit(x, m):
     return orbit
 
 
+def _elements(f, d):
+    """The coefficients of d as elements of f (ints are lifted)."""
+    return [c if isinstance(c, PadicElement) else f.from_int(c) for c in d]
+
+
+def _order_action(f, n, copies, coeffs):
+    """Matrix of d = sum_i a_i Pi^i on ``copies`` blocks of size n, where
+    e_{a,b} -> sigma^{-(a+b+i)}(a_i) p^{(b+i)//n} e_{a,b+i}."""
+    size = copies * n
+    rows = [[f.zero() for _ in range(size)] for _ in range(size)]
+    p = f.p
+    for i, x in enumerate(coeffs):
+        if x.is_zero_at_precision():
+            continue
+        orbit = _orbit(x, f.m)
+        for a in range(copies):
+            for b in range(n):
+                src, dst = a * n + b, a * n + (b + i) % n
+                carry = (b + i) // n
+                term = orbit[-(a + b + i) % f.m]
+                if carry:
+                    term = term * (p ** carry)
+                rows[dst][src] = rows[dst][src] + term
+    return PadicMatrix(f, rows)
+
+
 def iota_matrix(model: LubinTateModel, d):
     """Matrix of left multiplication by d = sum_i a_i Pi^i on the rank-n model.
 
@@ -197,27 +192,12 @@ def iota_matrix(model: LubinTateModel, d):
     coefficient field W(F_{p^n}) (or an int).  Uses a Pi^m = Pi^m sigma^{-m}(a)
     and Pi^n = p.
     """
-    n = model.n
-    f = model.field
-    coeffs = [c if isinstance(c, PadicElement) else f.from_int(c) for c in d]
-    if len(coeffs) != n:
-        raise ValueError(f"expected {n} coefficients")
+    coeffs = _elements(model.field, d)
+    if len(coeffs) != model.n:
+        raise ValueError(f"expected {model.n} coefficients")
     if all(c.is_zero_at_precision() for c in coeffs):
         raise ZeroDivisionError("d = 0")
-    rows = [[f.zero() for _ in range(n)] for _ in range(n)]
-    p = f.p
-    for i, a in enumerate(coeffs):
-        if a.is_zero_at_precision():
-            continue
-        orbit = _orbit(a, f.m)
-        for j in range(n):
-            k = (i + j) % n
-            carry = (i + j) // n
-            term = orbit[-(i + j) % f.m]
-            if carry:
-                term = term * (p ** carry)
-            rows[k][j] = rows[k][j] + term
-    return PadicMatrix(f, rows)
+    return _order_action(model.field, model.n, 1, coeffs)
 
 
 def dg_iota_matrix(model: SpecialModel, d):
@@ -226,35 +206,14 @@ def dg_iota_matrix(model: SpecialModel, d):
     iota(a) for a in W(F_{p^n}) acts on grade i by sigma^{-i}(a);
     iota(Pi) sends e_{a,b} to p^{[b = n-1]} e_{a,b+1}.
     """
-    n = model.n
-    f = model.field
-    coeffs = [c if isinstance(c, PadicElement) else f.from_int(c) for c in d]
-    nn = n * n
-    rows = [[f.zero() for _ in range(nn)] for _ in range(nn)]
-    p = f.p
-    for i, x in enumerate(coeffs):
-        if x.is_zero_at_precision():
-            continue
-        orbit = _orbit(x, f.m)
-        for a in range(n):
-            for b in range(n):
-                src = a * n + b
-                dst = a * n + (b + i) % n
-                carry = (b + i) // n
-                grade = model.grading(dst)
-                term = orbit[-grade % f.m]
-                if carry:
-                    term = term * (p ** carry)
-                rows[dst][src] = rows[dst][src] + term
-    return PadicMatrix(f, rows)
+    return _order_action(model.field, model.n, model.n, _elements(model.field, d))
 
 
 def od_multiply(model: LubinTateModel, d1, d2):
     """Product of two order elements in Pi-power coordinates."""
     n = model.n
     f = model.field
-    a = [c if isinstance(c, PadicElement) else f.from_int(c) for c in d1]
-    b = [c if isinstance(c, PadicElement) else f.from_int(c) for c in d2]
+    a, b = _elements(f, d1), _elements(f, d2)
     orbits = [_orbit(y, f.m) for y in b]
     out = [f.zero() for _ in range(n)]
     p = f.p

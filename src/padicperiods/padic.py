@@ -537,9 +537,6 @@ class PadicElement:
             return self.approx_equal(other)
         return NotImplemented
 
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("PadicElement is not hashable")
-
     def __repr__(self):
         f = self.field
         terms = []
@@ -672,18 +669,6 @@ class PadicMatrix:
     def transpose(self):
         return PadicMatrix(self.field, list(map(list, zip(*self.rows))))
 
-    def __add__(self, other):
-        return PadicMatrix(
-            self.field,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def __sub__(self, other):
-        return PadicMatrix(
-            self.field,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
     def __mul__(self, other):
         if isinstance(other, PadicMatrix):
             return PadicMatrix(self.field, _product(self.rows, list(zip(*other.rows))))
@@ -700,9 +685,6 @@ class PadicMatrix:
             for ra, rb in zip(self.rows, other.rows)
             for a, b in zip(ra, rb)
         )
-
-    def is_zero_at_precision(self):
-        return all(e.is_zero_at_precision() for r in self.rows for e in r)
 
     def __repr__(self):  # pragma: no cover
         return "PadicMatrix([\n  " + ",\n  ".join(str(r) for r in self.rows) + "\n])"

@@ -291,7 +291,7 @@ def random_point(n, field: FieldDescriptor, seed, max_tries=200) -> PeriodMatrix
         X = B * C
         try:
             pm = from_matrix(X)
-        except RankCertificationError:
+        except (RankCertificationError, PrecisionError):
             continue
         if omega_membership(fil_G(pm)).in_omega:
             return pm

@@ -355,15 +355,15 @@ class TestPrecisionErrorExit:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("indeterminate: ")
 
-    def test_sampler_precision_error_is_indeterminate(self, capsys):
-        # at precision 2 this seed draws a candidate whose inverse has no digits
+    def test_sampler_precision_error_draws_next_candidate(self, capsys):
+        # at precision 2 this seed draws a candidate whose inverse has no digits;
+        # the sampler skips it, so the run reports a point
         code, out, err = run(
             capsys, ["correspond", "--n", "2", "--m", "2", "--precision", "2", "--seed", "14"]
         )
-        assert code == cli.EXIT_INDETERMINATE
-        assert out == ""
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("indeterminate: ")
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["command"] == "correspond"
 
 
 class TestDeterminism:
@@ -403,6 +403,24 @@ class TestStoredDigests:
         "case", json.loads(CLI_DIGESTS.read_text()), ids=lambda c: " ".join(c["argv"])
     )
     def test_stdout_matches_digest(self, capsys, case):
+        code, out, _ = run(capsys, case["argv"])
+        assert code == case["exit"]
+        assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
+MODELS_DIGESTS = Path(__file__).with_name("models_digests.json")
+
+
+class TestStoredModelsDigests:
+    """`models` outputs the benchmark's digests miss: the n = 1 special cases
+    (phi = [p] for the height-n model, [1] for the special model), n = 5 and
+    p = 3.  The argv without --precision runs at the default precision."""
+
+    @pytest.mark.parametrize(
+        "case", json.loads(MODELS_DIGESTS.read_text()), ids=lambda c: " ".join(c["argv"])
+    )
+    def test_stdout_matches_digest(self, capsys, monkeypatch, case):
+        monkeypatch.delenv("PADIC_PRECISION", raising=False)
         code, out, _ = run(capsys, case["argv"])
         assert code == case["exit"]
         assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]

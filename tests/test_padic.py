@@ -164,6 +164,11 @@ class TestCoercion:
         assert (2 - x).approx_equal(Q4.from_int(-1))
         assert x == 3 and x != Fraction(3)
 
+    def test_elements_are_unhashable(self, Q4):
+        # equality is approximate, so no hash can agree with it
+        with pytest.raises(TypeError):
+            hash(Q4.from_int(3))
+
 
 class TestTeichmueller:
     def test_one_and_zero(self, Q4):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from padicperiods import periods
 from padicperiods.padic import (
     AtLeast,
     PadicMatrix,
@@ -293,3 +294,20 @@ class TestRandomPoint:
         assert omega_membership(fil_G(pm)).in_omega
         rank, _ = certified_rank(pm.X)
         assert rank == 2
+
+    def test_precision_error_candidate_is_skipped(self, monkeypatch):
+        # at precision 2 this seed first draws a candidate whose inverse has no digits
+        rejected = []
+
+        def spy(X):
+            try:
+                return from_matrix(X)
+            except PrecisionError as exc:
+                rejected.append(exc)
+                raise
+
+        monkeypatch.setattr(periods, "from_matrix", spy)
+        pm = random_point(2, make_field_cached(2, 2, 2), 14)
+        assert rejected
+        assert certified_rank(pm.X)[0] == 1
+        assert omega_membership(fil_G(pm)).in_omega
