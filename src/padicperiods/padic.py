@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 
 class AtLeast(NamedTuple):
@@ -702,10 +702,7 @@ class PadicMatrix:
         if any(not is_exact(d) for d in sf.divisors):
             raise ZeroDivisionError("matrix not invertible at precision")
         # M = Linv D Rinv  =>  M^-1 = R D^-1 L
-        f = self.field
-        Dinv = PadicMatrix.zero(f, n, n, self.precision)
-        for k in range(n):
-            Dinv.rows[k][k] = sf.pivots[k].inverse()
+        Dinv = sf.pivot_inverses(self.field, n, self.precision)
         return sf.R * Dinv * sf.L
 
     def det_valuation(self) -> Valuation:
@@ -805,16 +802,35 @@ class SmithForm:
     ``pivots`` holds the actual diagonal elements for the exact divisors.
     ``pivots_invertible`` is False when a pivot that cleared entries has no
     inverse digits (N - 2v < 1): L*M*R, L*Linv, R*Rinv may then have none.
+    ``L``, ``Linv``, ``R`` and ``Rinv`` are built on first read, by
+    ``build(name)``, and kept.  ``inverses[k]`` is the kernel entry of
+    1/pivots[k] that the elimination computed, or None for a pivot that
+    cleared nothing.
     """
 
     divisors: list
     pivots: list
-    L: PadicMatrix
-    Linv: PadicMatrix
-    R: PadicMatrix
-    Rinv: PadicMatrix
     rank: int
     pivots_invertible: bool
+    build: Callable[[str], PadicMatrix]
+    inverses: list
+
+    L = cached_property(lambda self: self.build("L"))
+    Linv = cached_property(lambda self: self.build("Linv"))
+    R = cached_property(lambda self: self.build("R"))
+    Rinv = cached_property(lambda self: self.build("Rinv"))
+
+    def pivot_inverses(self, f, d, precision):
+        """D^-1 of the first d pivots: d x d, zero at ``precision`` off the
+        diagonal.  A kept inverse is reused; ``PadicElement.inverse`` runs
+        only for a pivot that cleared nothing.  PrecisionError, as that
+        method's, where 1/pivot has no digit."""
+        D = PadicMatrix.zero(f, d, d, precision)
+        for k, inv in enumerate(self.inverses[:d]):
+            if inv is not None and inv[2] < 1:
+                raise PrecisionError("inverse has no significant digits")
+            D.rows[k][k] = self.pivots[k].inverse() if inv is None else PadicElement(f, *inv[:3])
+        return D
 
 
 def _times(f, a, b):
@@ -845,19 +861,46 @@ def _zero_quotient(zero, n):
     return zero[0], 0, n, None
 
 
-def smith_form(M: PadicMatrix) -> SmithForm:
-    """Smith-style reduction with minimal-valuation pivoting and transforms.
+def _replay(f, n, steps, cols, inverse, one, zero):
+    """Rows of an n x n transform of ``smith_form``, replayed on the identity
+    by the elimination's ``_fused`` updates in its order: the row operations
+    of L (row i -= fct * row k) and Rinv (row k += fct * row j), or the
+    transposed column operations of R and Linv (a*b is symmetric there)."""
+    T = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for k, bi, bj, row_fcts, col_fcts in steps:
+        b, fcts = (bj, col_fcts) if cols else (bi, row_fcts)
+        T[k], T[b] = T[b], T[k]
+        for i, fct in enumerate(fcts, k + 1):
+            if inverse:
+                T[k] = [_fused(f, x, fct, y, 1) for x, y in zip(T[k], T[i])]
+            else:
+                T[i] = [_fused(f, x, fct, y, -1) for x, y in zip(T[i], T[k])]
+    return [[PadicElement(f, e[0], e[1], e[2]) for e in row] for row in T]
 
-    The loop runs on kernel entries (coeffs, shift, N, v) of ``_normal``:
-    each update is one ``_fused`` step, and a pivot is inverted once, only
-    if an entry needs clearing.  The clearing factor e / pivot has the
-    quotient's precision, which 1/pivot may lack, so each entry equals the
-    element fold x - (e / pivot) * y and every PrecisionError is raised
-    where it would.  A zero entry x of the pivot row or column is known
-    only mod p^N_x, so it is cleared too, by the zero factor x / pivot at
-    precision N_x - v: its updates only cap precisions, and skipping them
-    would give the transforms digits that M does not determine.  Only the
-    pivots and transforms become PadicElements.
+
+def smith_form(M: PadicMatrix) -> SmithForm:
+    """Smith-style reduction with minimal-valuation pivoting.
+
+    The loop eliminates only the work matrix, on kernel entries (coeffs,
+    shift, N, v) of ``_normal``: each update is one ``_fused`` step, and a
+    pivot is inverted once, only if an entry needs clearing, and that
+    inverse is kept.  The clearing factor e / pivot has the quotient's
+    precision, which 1/pivot may lack, so each entry equals the element
+    fold x - (e / pivot) * y and every PrecisionError is raised where it
+    would.  A zero entry x of the pivot row or column is known only mod
+    p^N_x, so it is cleared too, by the zero factor x / pivot at precision
+    N_x - v: its updates only cap precisions, and skipping them would give
+    the transforms digits that M does not determine.
+
+    Each step is recorded as (k, row swap, column swap, row factors, column
+    factors), and a transform is built on first read by ``_replay``.  No
+    replay raises.  Every factor e / pivot is integral, as the pivot has the
+    least valuation in its block, and it has a digit, or the elimination
+    would have raised.  So from the identity at N = M.precision >= 1 every
+    transform entry stays integral with precision >= 1, and no product of
+    two such entries falls below one digit.  Every PrecisionError is thus
+    raised here, where the caller's ``try`` sees it; for an M built with
+    entries of precision < 1 the transforms are built here.
     """
     f = M.field
     r, c = M.nrows, M.ncols
@@ -865,11 +908,7 @@ def smith_form(M: PadicMatrix) -> SmithForm:
     work = [[(e.coeffs, e.shift, e.abs_precision, e._v) for e in row] for row in M.rows]
     one = _normal(f.p, [1] + [0] * (f.m - 1), 0, N)
     zero = _normal(f.p, [0] * f.m, 0, N)
-    L, Linv, R, Rinv = (
-        [[one if i == j else zero for j in range(n)] for i in range(n)]
-        for n in (r, r, c, c)
-    )
-    divisors, pivots, invertible = [], [], True
+    divisors, pivots, inverses, steps, invertible = [], [], [], [], True
     for k in range(min(r, c)):
         # the first entry of least valuation, in row-major order
         best = min(((row[j][3], i, j) for i, row in enumerate(work[k:], k)
@@ -879,50 +918,44 @@ def smith_form(M: PadicMatrix) -> SmithForm:
         v, bi, bj = best
         if bi != k:
             work[k], work[bi] = work[bi], work[k]
-            L[k], L[bi] = L[bi], L[k]
-            for row in Linv:
-                row[k], row[bi] = row[bi], row[k]
         if bj != k:
             for row in work:
                 row[k], row[bj] = row[bj], row[k]
-            for row in R:
-                row[k], row[bj] = row[bj], row[k]
-            Rinv[k], Rinv[bj] = Rinv[bj], Rinv[k]
         wk = work[k]
-        pivot = wk[k]  # inverted once, and only if an entry needs clearing
+        pivot, pinv = wk[k], None  # inverted once, and only if an entry needs clearing
         if any(row[k][3] is not None for row in work[k + 1:]) or any(
                 e[3] is not None for e in wk[k + 1:]):
             pinv = (*_inverse(f, *pivot), -pivot[3])
             invertible = invertible and pinv[2] >= 1
-        for i in range(k + 1, r):
-            wi = work[i]
+        row_fcts, col_fcts = [], []
+        for wi in work[k + 1:]:
             fct = (_zero_quotient(zero, wi[k][2] - v) if wi[k][3] is None
                    else _times(f, wi[k], pinv))
+            row_fcts.append(fct)
             for j in range(k, c):
                 wi[j] = _fused(f, wi[j], fct, wk[j], -1)
-            Li, Lk = L[i], L[k]
-            for j in range(r):
-                Li[j] = _fused(f, Li[j], fct, Lk[j], -1)
-                row = Linv[j]
-                row[k] = _fused(f, row[k], fct, row[i], 1)
         for j in range(k + 1, c):
             fct = (_zero_quotient(zero, wk[j][2] - v) if wk[j][3] is None
                    else _times(f, wk[j], pinv))
+            col_fcts.append(fct)
             for row in work:
                 row[j] = _fused(f, row[j], row[k], fct, -1)
-            for row in R:
-                row[j] = _fused(f, row[j], row[k], fct, -1)
-            Rk, Rj = Rinv[k], Rinv[j]
-            for jj in range(c):
-                Rk[jj] = _fused(f, Rk[jj], fct, Rj[jj], 1)
+        steps.append((k, bi, bj, row_fcts, col_fcts))
         divisors.append(v)
         pivots.append(PadicElement(f, pivot[0], pivot[1], pivot[2]))
+        inverses.append(pinv)
     divisors += [AtLeast(N)] * (min(r, c) - len(divisors))
-    L, Linv, R, Rinv = (
-        PadicMatrix(f, [[PadicElement(f, e[0], e[1], e[2]) for e in row] for row in T])
-        for T in (L, Linv, R, Rinv)
-    )
-    return SmithForm(divisors, pivots, L, Linv, R, Rinv, len(pivots), invertible)
+
+    def build(name):
+        cols = name[0] == "R"
+        T = _replay(f, c if cols else r, steps, cols, name.endswith("inv"), one, zero)
+        return PadicMatrix(f, T if name in ("L", "Rinv") else zip(*T))
+
+    sf = SmithForm(divisors, pivots, len(pivots), invertible, build, inverses)
+    if N < 1:  # the identity has no digit, so a replay may raise: build here
+        for name in ("L", "Linv", "R", "Rinv"):
+            getattr(sf, name)
+    return sf
 
 
 def rank_below(divisors, threshold):

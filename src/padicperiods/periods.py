@@ -125,16 +125,9 @@ def correspond(pm: PeriodMatrix) -> PeriodMatrix:
     the stored one: fil_G of the image is fil_H of ``pm`` and vice versa.
     """
     sf = pm.smith
-    sf_t = SmithForm(
-        sf.divisors,
-        sf.pivots,
-        sf.R.transpose(),
-        sf.Rinv.transpose(),
-        sf.L.transpose(),
-        sf.Linv.transpose(),
-        sf.rank,
-        sf.pivots_invertible,
-    )
+    swap = {"L": "R", "Linv": "Rinv", "R": "L", "Rinv": "Linv"}
+    sf_t = SmithForm(sf.divisors, sf.pivots, sf.rank, sf.pivots_invertible,
+                     lambda name: getattr(sf, swap[name]).transpose(), sf.inverses)
     return PeriodMatrix(pm.X.transpose(), pm.n, sf_t)
 
 

@@ -255,9 +255,7 @@ def solve_columns(S: PadicMatrix, B: PadicMatrix):
         for e in LB.rows[i]:
             if not e.is_zero_at_precision():
                 return None
-    Dinv_top = PadicMatrix.zero(f, d, d, S.precision)
-    for k in range(d):
-        Dinv_top.rows[k][k] = sf.pivots[k].inverse()
+    Dinv_top = sf.pivot_inverses(f, d, S.precision)
     return sf.R * (Dinv_top * PadicMatrix(f, LB.rows[:d]))
 
 

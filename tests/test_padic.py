@@ -41,12 +41,16 @@ from padicperiods.padic import (
     _poly_mulmod,
     _poly_rem,
 )
+from padicperiods import periods
 from padicperiods.periods import (
+    ProjectivePoint,
     RankCertificationError,
     correspond,
     fil_G,
     fil_H,
     from_matrix,
+    omega_membership,
+    random_point,
 )
 
 from rank_checks import assert_rank_divisors, cut
@@ -813,12 +817,32 @@ def entry_pairs(draw):
 
 
 @st.composite
-def sparse_matrices(draw):
+def sparse_matrices(draw, square=False):
     """r x c matrices of sparse_entries: many zeros, precisions 2/6/10, so
     a pivot often has no significant inverse digits."""
     f = _scalar_field(draw)
-    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    r = draw(st.integers(1, 4))
+    c = r if square else draw(st.integers(1, 4))
     return PadicMatrix(f, [[draw(sparse_entries(f)) for _ in range(c)] for _ in range(r)])
+
+
+@st.composite
+def coarse_matrices(draw):
+    """Up to 4 x 4 over Q_{p^m}, p in {2, 3}, m <= 3, entries at precision
+    1..10 (often 1..3), with shifts 0..3 and zeros."""
+    f = make_field_cached(draw(st.sampled_from([2, 3])), draw(st.integers(1, 3)), PREC)
+    p = f.p
+
+    def entry():
+        N = draw(st.one_of(st.integers(1, 3), st.integers(1, PREC)))
+        if draw(st.integers(0, 3)) == 0:
+            return f.zero(N)
+        v = draw(st.sampled_from([0, 0, 1, 2]))
+        coeffs = [draw(st.integers(0, p ** N - 1)) * p ** v for _ in range(f.m)]
+        return f.from_coeffs(coeffs, N, draw(st.sampled_from([0, 0, 1, 3])))
+
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return PadicMatrix(f, [[entry() for _ in range(c)] for _ in range(r)])
 
 
 @st.composite
@@ -846,10 +870,20 @@ def _plain_valuation(x):
     return min(vals) - x.shift
 
 
-def _check_reduce_against_reference(M):
+TRANSFORMS = ("L", "Linv", "R", "Rinv")
+
+
+def _same_rows(ref, got):
+    return all(_same_element(x, y) for rr, rg in zip(ref, got.rows, strict=True)
+               for x, y in zip(rr, rg, strict=True))
+
+
+def _check_reduce_against_reference(M, order=TRANSFORMS):
     """smith_form(M) equals _reference_smith(M) field by field, or both
     raise PrecisionError; every exact divisor is the valuation of its pivot,
-    read from the pivot's coefficients.  certified_rank(M) gives the
+    read from the pivot's coefficients.  The transforms are read in
+    ``order``, and each one alone from a fresh form: they are built on
+    first read, and no order may change them.  certified_rank(M) gives the
     reference's divisors of M cut to N = M.precision, types included, and
     of M itself the ones below N, AtLeast(N) for the others."""
     N = M.precision
@@ -862,11 +896,27 @@ def _check_reduce_against_reference(M):
     assert sf.divisors == div
     assert [type(d) for d in sf.divisors] == [type(d) for d in div]
     assert all(_same_element(x, y) for x, y in zip(sf.pivots, piv, strict=True))
-    for ref, got in zip(mats, (sf.L, sf.Linv, sf.R, sf.Rinv), strict=True):
-        for rr, rg in zip(ref, got.rows, strict=True):
-            assert all(_same_element(x, y) for x, y in zip(rr, rg, strict=True))
+    ref = dict(zip(TRANSFORMS, mats, strict=True))
+    for name in order:
+        assert _same_rows(ref[name], getattr(sf, name))
+    for name in TRANSFORMS:
+        assert _same_rows(ref[name], getattr(smith_form(M), name))
     assert [_plain_valuation(x) for x in sf.pivots] == [d for d in div if is_exact(d)]
     assert_rank_divisors(divisors, div, N)
+
+
+def _reference_matrix_inverse(M):
+    """R * D^-1 * L from _reference_smith, by element inverses of the
+    pivots and dense folds of element products."""
+    f, n = M.field, M.nrows
+    div, piv, (L, _, R, _) = _reference_smith(M)
+    if not all(is_exact(d) for d in div):
+        raise ZeroDivisionError("matrix not invertible at precision")
+    Dinv = PadicMatrix.zero(f, n, n, M.precision)
+    for k, x in enumerate(piv):
+        Dinv.rows[k][k] = x.inverse()
+    RD = PadicMatrix(f, _dense_product(PadicMatrix(f, R), Dinv))
+    return PadicMatrix(f, _dense_product(RD, PadicMatrix(f, L)))
 
 
 def _same_outcome(reference, fast, *args):
@@ -927,9 +977,53 @@ class TestQpScalars:
         assert _poly_mulmod(a, b, f, mod) == _per_term_poly_mulmod(a, b, f, mod)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(sparse_matrices(), elimination_inputs()))
-    def test_elimination_matches_division_per_entry(self, M):
-        _check_reduce_against_reference(M)
+    @given(st.one_of(sparse_matrices(), elimination_inputs()), st.permutations(TRANSFORMS))
+    def test_elimination_matches_division_per_entry(self, M, order):
+        _check_reduce_against_reference(M, order)
+
+    @settings(max_examples=300, deadline=None)
+    @given(coarse_matrices())
+    def test_every_returned_form_builds_its_transforms(self, M):
+        # smith_form raises exactly where the eager reference does, and a
+        # form it returns builds every transform without raising
+        out = _same_outcome(_reference_smith, smith_form, M)
+        for name in TRANSFORMS if out else ():
+            getattr(out[1], name)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_matrices(square=True))
+    def test_matrix_inverse_matches_element_fold(self, M):
+        out = _same_outcome(_reference_matrix_inverse, PadicMatrix.inverse, M)
+        if out:
+            assert _same_rows(out[0].rows, out[1])
+
+    def test_entry_without_digits_raises_inside_smith_form(self):
+        # the elimination never clears the O(2^0), so it does not raise, but
+        # the transforms start from the identity at M.precision = 0
+        f = make_field_cached(2, 2, PREC)
+        M = PadicMatrix.from_ints(f, [[1, 0, 0], [1, 0, 0], [0, 0, 0]])
+        M.rows[2][2] = f.zero(0)
+        for reduce in (_reference_smith, smith_form):
+            with pytest.raises(PrecisionError, match="product has no significant digits"):
+                reduce(M)
+
+    def test_inverse_where_only_the_kept_inverse_lacks_digits(self):
+        # 2/2 = 1 + O(2) clears the column at N = 2, but 1/2 has no digit
+        f = make_field_cached(2, 1, 2)
+        M = PadicMatrix.from_ints(f, [[2, 2], [2, 0]], 2)
+        assert smith_form(M).divisors == [1, 1]
+        with pytest.raises(PrecisionError, match="inverse has no significant digits"):
+            M.inverse()
+        # here the last pivot, 4 + O(2^10), has an inverse, and the kept
+        # inverse of 2 + O(2^2) alone has no digit
+        g = make_field_cached(2, 1, PREC)
+        M = PadicMatrix(g, [[g.from_int(2, 2), g.zero(10)], [g.from_int(2, 10), g.from_int(4, 10)]])
+        assert smith_form(M).divisors == [1, 2]
+        with pytest.raises(PrecisionError, match="inverse has no significant digits"):
+            M.inverse()
+        inv = PadicMatrix.from_ints(f, [[2, 2], [2, 0]], 4).inverse()
+        half = f.from_coeffs([1], 2, 1)
+        assert _same_rows([[f.zero(2), half], [half, -half]], inv)
 
     def test_pivot_without_inverse_digits_and_nothing_to_clear(self):
         # v(8) = 3 at precision 4: 1/8 would have precision 4 - 6 < 1
@@ -989,9 +1083,9 @@ class TestOddPrimeElimination:
     elimination and against valuations read off the pivots' coefficients."""
 
     @settings(max_examples=200, deadline=None)
-    @given(odd_p_matrices())
-    def test_matches_reference_per_entry(self, M):
-        _check_reduce_against_reference(M)
+    @given(odd_p_matrices(), st.permutations(TRANSFORMS))
+    def test_matches_reference_per_entry(self, M, order):
+        _check_reduce_against_reference(M, order)
 
 
 def _int_det(A):
@@ -1170,6 +1264,60 @@ def test_elimination_makes_no_element_arithmetic(monkeypatch):
     M.rows[0][0] * M.rows[0][1]
     M.rows[0][0].inverse()
     assert calls == ["__mul__", "inverse"]
+
+
+def _record_forms(monkeypatch, module):
+    """A list that gets (M, form) for each smith_form(M) that ``module`` makes."""
+    forms = []
+
+    def spy(M, _orig=smith_form):
+        forms.append((M, _orig(M)))
+        return forms[-1][1]
+
+    monkeypatch.setattr(module, "smith_form", spy)
+    return forms
+
+
+def _built(sf):
+    """The transforms of ``sf`` built so far: each is kept once read."""
+    return sorted(set(vars(sf)) & set(TRANSFORMS))
+
+
+def test_inverse_builds_l_and_r_and_inverts_one_pivot(monkeypatch):
+    """A 3 x 3 matrix with unit pivots 1, -3, 1: the first two cleared
+    entries, so their inverses are kept, and only the last is inverted."""
+    f = make_field_cached(2, 2, PREC)
+    M = PadicMatrix.from_ints(f, [[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    forms = _record_forms(monkeypatch, padic)
+    calls = []
+
+    def spy(self, _orig=PadicElement.inverse):
+        calls.append(self)
+        return _orig(self)
+
+    monkeypatch.setattr(PadicElement, "inverse", spy)
+    inv = M.inverse()
+    ((_, sf),) = forms
+    assert _built(sf) == ["L", "R"]
+    assert len(calls) == 1 and calls[0] is sf.pivots[-1]
+    assert [x.valuation() for x in sf.pivots] == [0, 0, 0]
+    assert (M * inv).approx_equal(PadicMatrix.identity(f, 3))
+
+
+def test_omega_witness_builds_only_l(monkeypatch):
+    f = make_field_cached(2, 2, PREC)
+    point = ProjectivePoint(PadicMatrix.identity(f, 2), [f.from_int(1), f.from_int(3)])
+    forms = _record_forms(monkeypatch, periods)
+    assert omega_membership(point).status == "not_in_Omega"
+    ((_, sf),) = forms
+    assert _built(sf) == ["L"]
+
+
+def test_sampler_covector_form_builds_only_r(monkeypatch):
+    forms = _record_forms(monkeypatch, periods)
+    random_point(2, make_field_cached(2, 2, 8), seed=1)
+    covector_forms = [sf for M, sf in forms if M.nrows == 1]
+    assert covector_forms and all(_built(sf) == ["R"] for sf in covector_forms)
 
 
 def test_product_makes_no_element_arithmetic(monkeypatch):
