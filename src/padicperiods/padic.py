@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Union
 
 
@@ -88,6 +88,28 @@ def _poly_powmod(a, e, f, mod):
         a = _poly_mulmod(a, a, f, mod)
         e >>= 1
     return r
+
+
+def _power_table(y, f, mod, count):
+    """y^0, ..., y^(count-1) modulo (f, mod), each as len(f) - 1 coefficients:
+    the table of the Z-linear map w^i -> y^i."""
+    width, table, cur = len(f) - 1, [], [1]
+    for _ in range(count):
+        table.append(tuple(cur + [0] * (width - len(cur))))
+        cur = _poly_mulmod(cur, y, f, mod)
+    return table
+
+
+def _linear_image(coeffs, table):
+    """sum_i coeffs[i] * table[i] over the integers: the image of sum_i
+    coeffs[i] w^i under the linear map w^i -> table[i]; the caller reduces."""
+    out = [0] * len(table[0])
+    for c, row in zip(coeffs, table):
+        if c:
+            for k, t in enumerate(row):
+                if t:
+                    out[k] += c * t
+    return out
 
 
 def _poly_gcd_fp(a, b, p):
@@ -206,6 +228,21 @@ class FieldDescriptor:
         if min_precision <= self.precision:
             return list(self.frobenius_image)
         return _frobenius_image(self.p, list(self.modulus), min_precision)
+
+    def frobenius_table(self, min_precision):
+        """The table of sigma: sigma(w)^j for j < m, modulo (modulus, p^P)
+        with P = max(min_precision, precision).  The table at the field's
+        precision is built on first use and kept; one above it is built from
+        ``frobenius_poly`` on each call."""
+        if min_precision <= self.precision:
+            return self._frobenius_table
+        return _power_table(self.frobenius_poly(min_precision), self.modulus,
+                            self.p ** min_precision, self.m)
+
+    @cached_property
+    def _frobenius_table(self):
+        return _power_table(list(self.frobenius_image), self.modulus,
+                            self.p ** self.precision, self.m)
 
     @cached_property
     def powers(self):
@@ -508,15 +545,13 @@ class PadicElement:
     # -- structure maps ---------------------------------------------------
 
     def frobenius(self):
-        """The lift of x -> x^p; a Q_p-linear ring automorphism of order m."""
+        """The lift of x -> x^p; a Q_p-linear ring automorphism of order m,
+        applied to the coefficients as one product with the field's table."""
         f = self.field
         if not any(self.coeffs[1:]):  # x lies in Q_p, which sigma fixes
             return self
-        M = f.p ** (self.abs_precision + self.shift)
-        g = f.frobenius_poly(self.abs_precision + self.shift)
-        img = _poly_eval_poly(list(self.coeffs), g, list(f.modulus), M)
-        img = img + [0] * (f.m - len(img))
-        return PadicElement(f, img, self.shift, self.abs_precision)
+        table = f.frobenius_table(self.abs_precision + self.shift)
+        return PadicElement(f, _linear_image(self.coeffs, table), self.shift, self.abs_precision)
 
     def frobenius_iterate(self, k):
         if not any(self.coeffs[1:]):  # x lies in Q_p, which sigma fixes
@@ -610,19 +645,28 @@ def field_embedding(sub: FieldDescriptor, big: FieldDescriptor):
     return PadicElement(big, y, 0, N)
 
 
+@lru_cache(maxsize=64)
+def _embedding_table(big, gen_coeffs, gen_precision, m):
+    """The table of w^i -> g^i, i < m, modulo (big modulus, p^N_g)."""
+    return _power_table(list(gen_coeffs), big.modulus, big.p ** gen_precision, m)
+
+
 def embed_element(x: PadicElement, big: FieldDescriptor, gen_image=None):
-    """Map x into ``big`` along a fixed embedding: sum c_i g^i for the unit
-    g = ``gen_image``, at min(N_x, N_big) and N_g + v(c_i) for each i >= 1."""
+    """Map x = p^-s * sum c_i w^i into ``big`` along a fixed embedding:
+    p^-s * sum c_i g^i for the unit g = ``gen_image``, one product with the
+    kept table of the g^i mod p^N_g.  c_0 is mapped exactly and c_i g^i is
+    known mod p^(N_g + v(c_i)), so the image has precision min(N_x, N_g +
+    v(c_i) - s over i >= 1 with c_i != 0), which may exceed big's precision
+    as an inverse's may; PrecisionError when it is below 1."""
     if gen_image is None:
         gen_image = field_embedding(x.field, big)
-    N, Ng = min(x.abs_precision, big.precision), gen_image.abs_precision
-    if Ng < N:
-        N = min([N] + [Ng + _valuation(big.p, [c]) for c in x.coeffs[1:] if c])
-    acc = _poly_eval_poly(x.coeffs, gen_image.coeffs, big.modulus, big.p ** big.precision)
-    acc = PadicElement(big, acc + [0] * (big.m - len(acc)), 0, N)
-    if x.shift:
-        acc = acc * big.from_int(x.field.p ** x.shift).inverse()
-    return acc
+    s, Ng, N = x.shift, gen_image.abs_precision, x.abs_precision
+    if Ng - s < N:
+        N = min([N] + [Ng + _valuation(big.p, [c]) - s for c in x.coeffs[1:] if c])
+    if N < 1:
+        raise PrecisionError("embedding has no significant digits")
+    table = _embedding_table(big, gen_image.coeffs, Ng, x.field.m)
+    return PadicElement(big, _linear_image(x.coeffs, table), s, N)
 
 
 # ---------------------------------------------------------------------------

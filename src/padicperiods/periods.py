@@ -200,22 +200,26 @@ def act(g, d, pm: PeriodMatrix, model: LubinTateModel, embedding_gen=None) -> Pe
     p-powers), ``d`` an order element in Pi-power coordinates over the
     model's coefficient field W(F_{p^n}).  The period field must contain
     Q_{p^n} (n | m).
+
+    iota(d)^{-1} is inverted over W(F_{p^n}) and its n^2 entries are then
+    embedded in K.  The embedding is an isometric ring map, so the Smith
+    pivots, the precision caps and every entry agree with inverting the
+    embedded iota(d) over K; where d has shifted coefficients, the entries
+    may keep digits that the embedding of iota(d) would have dropped.
     """
     K = pm.field
-    n = pm.n
     if K.m % model.field.m != 0:
         raise ValueError("period field must contain the coefficient field (n | m)")
     gK = _embed_rational(g, K, pm.precision)
-    iota = iota_matrix(model, d)
     if embedding_gen is None:
         embedding_gen = field_embedding(model.field, K)
-    iotaK = PadicMatrix(
-        K, [[embed_element(e, K, embedding_gen) for e in row] for row in iota.rows]
-    )
     try:
-        iota_inv = iotaK.inverse()
+        iota_inv = iota_matrix(model, d).inverse()
     except ZeroDivisionError:
         raise ValueError("order element is not invertible at precision")
+    iota_inv = PadicMatrix(
+        K, [[embed_element(e, K, embedding_gen) for e in row] for row in iota_inv.rows]
+    )
     Y = gK.transpose() * pm.X * iota_inv
     return from_matrix(Y)
 

@@ -667,6 +667,117 @@ class TestSkippedZeros:
         assert _same_element(x.frobenius(), _horner_frobenius(x))
 
 
+# (p, m, m_big) of a subfield and a field that contains it, both at TABLE_PREC
+TABLE_FIELDS = [(p, m, mb) for p in (2, 3) for m, mb in ((2, 4), (3, 6), (4, 4), (6, 6))]
+TABLE_PREC = 8
+
+
+def _int_valuation(c, p):
+    v = 0
+    while not c % p:
+        c //= p
+        v += 1
+    return v
+
+
+def _horner_embedding(x, big, gen):
+    """x = p^-s * sum c_i w^i embedded by Horner: p^-s * sum c_i g^i mod
+    (modulus, p^(N+s)) at N = min(N_x, N_g + v(c_i) - s over i >= 1 with
+    c_i != 0)."""
+    s, p = x.shift, big.p
+    N = min([x.abs_precision] + [
+        gen.abs_precision + _int_valuation(c, p) - s for c in x.coeffs[1:] if c])
+    if N < 1:
+        raise PrecisionError("embedding has no significant digits")
+    acc = _poly_eval_poly(list(x.coeffs), list(gen.coeffs), list(big.modulus), p ** (N + s))
+    return PadicElement(big, acc + [0] * (big.m - len(acc)), s, N)
+
+
+@st.composite
+def table_elements(draw, f):
+    """An element of f with a w-part, at precision 2, 5, 8 (the field's) or
+    12 (above it), shift 0-3 and maybe p-divisible coefficients."""
+    p = f.p
+    N, shift = draw(st.sampled_from([2, 5, 8, 12])), draw(st.integers(0, 3))
+    v = draw(st.sampled_from([0, 0, 1, 3]))
+    coeffs = [draw(st.integers(0, p ** (N + shift) - 1)) * p ** v for _ in range(f.m)]
+    coeffs[draw(st.integers(1, f.m - 1))] = draw(st.integers(1, p ** N - 1))
+    return f.from_coeffs(coeffs, N, shift)
+
+
+@st.composite
+def table_cases(draw):
+    """(x, y, big, gen): two elements of a subfield, the field over it and
+    the generator's image known to 3, 5 or 8 digits, or to 12 (above big's)."""
+    p, m, mb = draw(st.sampled_from(TABLE_FIELDS))
+    f, big = make_field_cached(p, m, TABLE_PREC), make_field_cached(p, mb, TABLE_PREC)
+    Ng = draw(st.sampled_from([3, 5, 8, 12]))
+    gen = field_embedding(f, make_field_cached(p, mb, max(Ng, TABLE_PREC)))
+    gen = PadicElement(big, gen.coeffs, 0, Ng)
+    return draw(table_elements(f)), draw(table_elements(f)), big, gen
+
+
+class TestLinearTables:
+    """sigma and the field embedding apply a kept table of powers; they
+    give Horner's element field by field, and the embedding's precision is
+    one it knows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(table_cases(), st.integers(-2, 7))
+    def test_frobenius_matches_horner(self, case, k):
+        x = case[0]
+        assert _same_element(x.frobenius(), _horner_frobenius(x))
+        y = x
+        for _ in range(k % x.field.m):
+            y = _horner_frobenius(y)
+        assert _same_element(x.frobenius_iterate(k), y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(table_cases())
+    def test_embedding_matches_horner(self, case):
+        x, _, big, gen = case
+        out = _same_outcome(_horner_embedding, embed_element, x, big, gen)
+        if out:
+            assert _same_element(*out)
+
+    @settings(max_examples=150, deadline=None)
+    @given(table_cases())
+    def test_embedding_is_a_ring_map_at_its_precision(self, case):
+        x, y, big, gen = case
+        # the generator's image to 12 digits agrees with gen's to its precision
+        fine = field_embedding(x.field, make_field_cached(big.p, big.m, 12))
+        fine = PadicElement(big, fine.coeffs, 0, 12)
+        try:
+            ex = embed_element(x, big, gen)
+        except PrecisionError:
+            return
+        fx = embed_element(x, big, fine)
+        assert fx.abs_precision >= ex.abs_precision
+        assert _same_element(big.from_coeffs(fx.coeffs, ex.abs_precision, fx.shift), ex)
+        try:
+            ey = embed_element(y, big, gen)
+            assert embed_element(x * y, big, gen).approx_equal(ex * ey)
+            assert embed_element(x + y, big, gen).approx_equal(ex + ey)
+        except PrecisionError:
+            return
+
+    def test_shifted_embedding_keeps_its_digits(self):
+        # p^-1 (1 + w) + O(2^32) in Q_4 is known to 31 digits in Q_16
+        small, big = make_field_cached(2, 2, 32), make_field_cached(2, 4, 32)
+        x = small.from_coeffs([1, 1], 32, 1)
+        img = embed_element(x, big, field_embedding(small, big))
+        assert img.abs_precision == 31 and img.valuation() == -1
+
+    def test_tables_are_built_once(self):
+        f = make_field(3, 4, TABLE_PREC)
+        assert "_frobenius_table" not in vars(f)
+        f.generator().frobenius()
+        table = vars(f)["_frobenius_table"]
+        f.from_coeffs([1, 2, 3, 4]).frobenius()
+        assert f.frobenius_table(TABLE_PREC) is table
+        assert f.frobenius_table(TABLE_PREC + 4) is not table
+
+
 def _trimmed(a):
     while a and a[-1] == 0:
         a.pop()

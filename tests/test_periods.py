@@ -11,6 +11,8 @@ from padicperiods.padic import (
     PadicMatrix,
     PrecisionError,
     certified_rank,
+    embed_element,
+    field_embedding,
     make_field_cached,
     matrix_to_json,
 )
@@ -19,6 +21,7 @@ from padicperiods.periods import (
     OmegaVerdict,
     ProjectivePoint,
     RankCertificationError,
+    _embed_rational,
     act,
     correspond,
     fil_G,
@@ -276,6 +279,14 @@ class TestAction:
         with pytest.raises(ValueError):
             act([[1, 0], [0, 1]], [1, 0, 0], pm, model3)
 
+    @pytest.mark.parametrize("zero", ["ints", "at_precision"])
+    def test_zero_order_element_is_not_invertible(self, setup, zero):
+        K, model, pm = setup
+        f = model.field
+        d = [0, 0] if zero == "ints" else [f.from_int(2 ** 32), f.zero(16)]
+        with pytest.raises(ValueError, match="order element is not invertible at precision"):
+            act([[1, 0], [0, 1]], d, pm, model)
+
 
 class TestRandomPoint:
     def test_deterministic(self, K):
@@ -311,3 +322,77 @@ class TestRandomPoint:
         assert rejected
         assert certified_rank(pm.X)[0] == 1
         assert omega_membership(fil_G(pm)).in_omega
+
+
+def _k_path_act(g, d, pm, model, gen):
+    """act with iota(d) embedded in K first and inverted over K."""
+    K = pm.field
+    iota = iota_matrix(model, d)
+    iota_K = PadicMatrix(K, [[embed_element(e, K, gen) for e in row] for row in iota.rows])
+    return from_matrix(_embed_rational(g, K, pm.precision).transpose() * pm.X * iota_K.inverse())
+
+
+def _order_elements(p, n, f, rng):
+    """Units, non-units with a_0 = 0 mod p and the Pi-powers of the
+    acceptance suite, padded to n coefficients, as coefficient lists."""
+    def coeffs():
+        return [rng.randrange(p ** 8) for _ in range(n)]
+
+    units = []
+    while len(units) < 3:
+        a0 = coeffs()
+        if any(c % p for c in a0):
+            units.append([a0] + [coeffs() for _ in range(n - 1)])
+    non_units = [[[p * c for c in coeffs()]] + [coeffs() for _ in range(n - 1)]
+                 for _ in range(3)]
+    pad = [[0] * n] * (n - 2)
+    powers = [[[0] * n, [1] + [0] * (n - 1)] + pad, [[2] + [0] * (n - 1), [0] * n] + pad,
+              [[0] * n, [3] + [0] * (n - 1)] + pad]
+    return units + non_units + powers
+
+
+class TestInverseOverW:
+    """act inverts iota(d) over W(F_{p^n}) and embeds the inverse; that is
+    the K-side inverse of the embedded iota(d), entry by entry."""
+
+    @pytest.fixture(scope="class", params=[(p, n, m) for p in (2, 3)
+                                           for n, m in ((2, 2), (2, 4), (3, 3), (3, 6))],
+                    ids=lambda c: f"p{c[0]}-n{c[1]}-m{c[2]}")
+    def case(self, request):
+        p, n, m = request.param
+        N = 16
+        K, model = make_field_cached(p, m, N), build_DH(n, N, p)
+        return random_point(n, K, seed=5), model, field_embedding(model.field, K)
+
+    def _pairs(self, case, shifted):
+        """(g, d) for each order element, its coefficients shifted by 0-2
+        at random if ``shifted``."""
+        pm, model, gen = case
+        p, n, f = model.field.p, model.n, model.field
+        rng = random.Random(11)
+        g = [[int(i == j) + p * rng.randrange(8) for j in range(n)] for i in range(n)]
+        for d in _order_elements(p, n, f, rng):
+            yield g, [f.from_coeffs(c, 16, rng.randrange(3) if shifted else 0) for c in d]
+
+    def test_matches_the_k_path(self, case):
+        pm, model, gen = case
+        for g, d in self._pairs(case, False):
+            ref, got = _k_path_act(g, d, pm, model, gen), act(g, d, pm, model, gen)
+            assert [_fields(x) for x in _flat(got.X)] == [_fields(x) for x in _flat(ref.X)]
+
+    def test_shifted_coefficients_keep_at_least_the_k_path_digits(self, case):
+        pm, model, gen = case
+        for g, d in self._pairs(case, True):
+            ref, got = _k_path_act(g, d, pm, model, gen), act(g, d, pm, model, gen)
+            for x, y in zip(_flat(got.X), _flat(ref.X), strict=True):
+                assert x.abs_precision >= y.abs_precision
+                assert x.approx_equal(y)
+
+
+def _fields(x):
+    return x.coeffs, x.shift, x.abs_precision
+
+
+def _flat(M):
+    return [x for row in M.rows for x in row]
+
