@@ -78,7 +78,7 @@ def cmd_models(args):
         "precision": precision,
         "height_n_model": dh.to_json(),
         "special_model": dg.to_json(),
-        "phi_matrix": matrix_to_json(models.phi_matrix(n, precision, base_p=p)),
+        "phi_matrix": matrix_to_json(dh.frobenius_matrix),
         "delta": delta.to_json(),
         "slopes": {
             "height_n_model": semilinear.slopes_to_json(

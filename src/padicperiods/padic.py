@@ -142,11 +142,33 @@ def _is_irreducible_mod_p(f, p):
     return True
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981  # least strong pseudoprime to all of them
+
+
 def _is_prime(n):
+    """Miller-Rabin to the prime bases 2, ..., 41, which is exact below
+    _MR_LIMIT (about 3.3e24); ValueError for a larger n.  The bases up to 37
+    alone pass 318665857834031151167461 = 399165290221 * 798330580441."""
     if n < 2:
         return False
-    for d in range(2, int(n ** 0.5) + 1):
-        if n % d == 0:
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is too large to test for primality (limit 3.3e24)")
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -258,8 +280,8 @@ class FieldDescriptor:
 def _residues(p, m):
     """Coefficient lists [c_0, ..., c_{m-1}] over F_p, in increasing order of
     the code c_0 + c_1 p + ... + c_{m-1} p^(m-1)."""
-    for c in itertools.product(range(p), repeat=m):
-        yield list(reversed(c))
+    for code in range(p ** m):
+        yield [code // p ** i % p for i in range(m)]
 
 
 def _find_modulus(p, m):
@@ -854,10 +876,16 @@ class SmithForm:
 
     divisors: list
     pivots: list
-    rank: int
-    pivots_invertible: bool
     build: Callable[[str], PadicMatrix]
     inverses: list
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    @property
+    def pivots_invertible(self):
+        return all(inv is None or inv[2] >= 1 for inv in self.inverses)
 
     L = cached_property(lambda self: self.build("L"))
     Linv = cached_property(lambda self: self.build("Linv"))
@@ -952,7 +980,7 @@ def smith_form(M: PadicMatrix) -> SmithForm:
     work = [[(e.coeffs, e.shift, e.abs_precision, e._v) for e in row] for row in M.rows]
     one = _normal(f.p, [1] + [0] * (f.m - 1), 0, N)
     zero = _normal(f.p, [0] * f.m, 0, N)
-    divisors, pivots, inverses, steps, invertible = [], [], [], [], True
+    divisors, pivots, inverses, steps = [], [], [], []
     for k in range(min(r, c)):
         # the first entry of least valuation, in row-major order
         best = min(((row[j][3], i, j) for i, row in enumerate(work[k:], k)
@@ -970,7 +998,6 @@ def smith_form(M: PadicMatrix) -> SmithForm:
         if any(row[k][3] is not None for row in work[k + 1:]) or any(
                 e[3] is not None for e in wk[k + 1:]):
             pinv = (*_inverse(f, *pivot), -pivot[3])
-            invertible = invertible and pinv[2] >= 1
         row_fcts, col_fcts = [], []
         for wi in work[k + 1:]:
             fct = (_zero_quotient(zero, wi[k][2] - v) if wi[k][3] is None
@@ -995,7 +1022,7 @@ def smith_form(M: PadicMatrix) -> SmithForm:
         T = _replay(f, c if cols else r, steps, cols, name.endswith("inv"), one, zero)
         return PadicMatrix(f, T if name in ("L", "Rinv") else zip(*T))
 
-    sf = SmithForm(divisors, pivots, len(pivots), invertible, build, inverses)
+    sf = SmithForm(divisors, pivots, build, inverses)
     if N < 1:  # the identity has no digit, so a replay may raise: build here
         for name in ("L", "Linv", "R", "Rinv"):
             getattr(sf, name)
@@ -1084,12 +1111,8 @@ def certified_rank(M: PadicMatrix):
 
 def kernel_basis(M: PadicMatrix):
     """Certified right-kernel basis vectors (columns indistinguishable from 0)."""
-    sf = smith_form(M)
-    cols = []
-    for k in range(M.ncols):
-        if k >= len(sf.divisors) or not is_exact(sf.divisors[k]):
-            cols.append([sf.R.rows[i][k] for i in range(M.ncols)])
-    return cols
+    sf = smith_form(M)  # the exact divisors are the first sf.rank
+    return [[row[k] for row in sf.R.rows] for k in range(sf.rank, M.ncols)]
 
 
 def saturate_lattice(M: PadicMatrix) -> PadicMatrix:
@@ -1105,8 +1128,7 @@ def saturate_lattice(M: PadicMatrix) -> PadicMatrix:
     sf = smith_form(M)
     if sf.rank == 0:
         raise PrecisionError("rank indeterminate at precision")
-    basis = [[sf.Linv.rows[i][k] for i in range(M.nrows)] for k in range(sf.rank)]
-    return PadicMatrix(M.field, basis).transpose()
+    return PadicMatrix(M.field, [row[: sf.rank] for row in sf.Linv.rows])
 
 
 # ---------------------------------------------------------------------------
@@ -1117,8 +1139,8 @@ def charpoly(M: PadicMatrix):
     """Coefficients [a_0, ..., a_n] of det(tI - M), low degree first.
 
     When every entry lies in Z_p (shift 0, no w-part) the loop runs on the
-    integers c_0 mod p^N, N = M.precision.  That is the generic loop's
-    answer exactly: its zero accumulators cap every coefficient at N,
+    integers c_0 mod p^N, N = M.precision.  That is the loop's answer on
+    elements exactly: its zero accumulators cap every coefficient at N,
     products of integral elements never fall below N, and Z_p -> Z_{p^m}
     is a ring map.
     """
@@ -1130,23 +1152,37 @@ def charpoly(M: PadicMatrix):
     if all(e.shift == 0 and not any(e.coeffs[1:]) for r in M.rows for e in r):
         mod = f.p ** N
         pad = (0,) * (f.m - 1)
-        coeffs = _berkowitz_int([[e.coeffs[0] % mod for e in r] for r in M.rows], mod)
+        A = [[e.coeffs[0] % mod for e in r] for r in M.rows]
+        coeffs = _berkowitz(A, 0, 1, lambda v: [x % mod for x in v])
         return [PadicElement(f, (c,) + pad, 0, N) for c in coeffs]
-    return _berkowitz_padic(M)
+    return _berkowitz(M.rows, f.zero(N), f.one(N), lambda v: v)
 
 
-def _berkowitz(n, zero, one, red, krylov):
+def _berkowitz(A, zero, one, red):
     """The division-free Samuelson-Berkowitz loop over any ring, low degree first.
 
-    ``krylov(i)`` is the sequence T = [1, -a, -R C, -R M C, ..., -R M^(i-2) C]
-    of the i-th leading block, where a = A[i-1][i-1], R and C are the row and
-    column beside it and M is the block above them.  Each step multiplies the
-    coefficient vector by the Toeplitz matrix of T, folding every sum from
-    ``zero`` in increasing t; ``red`` reduces the new vector once per step.
+    Step i multiplies the coefficient vector by the Toeplitz matrix of
+    T = [1, -a, -R C, -R M C, ..., -R M^(i-2) C], where a = A[i-1][i-1], R
+    and C are the row and column beside it and M is the block above them.
+    The Krylov vectors M^k C come from one matrix-vector product per k, over
+    the nonzero entries (t, j, x) of M with R joined as its last row.  Every
+    sum folds from ``zero`` in increasing index; ``red`` reduces a vector,
+    once per Krylov vector, T and coefficient vector.
     """
     vec = [one]
-    for i in range(1, n + 1):
-        T = krylov(i)
+    for i in range(1, len(A) + 1):
+        # ``if x`` drops zero ints only: a PadicElement has no truth value, so
+        # a zero element is kept and caps its sum, as the dense fold does
+        rows = [(t, j, x) for t, row in enumerate(A[:i]) for j, x in enumerate(row[: i - 1]) if x]
+        T = [one, zero - A[i - 1][i - 1]]
+        cur = [A[t][i - 1] for t in range(i - 1)]
+        for _ in range(i - 1):
+            nxt = [zero] * i
+            for t, j, x in rows:
+                nxt[t] += x * cur[j]
+            T.append(zero - nxt.pop())
+            cur = red(nxt)
+        T = red(T)
         new = []
         for s in range(i + 1):
             acc = zero
@@ -1157,61 +1193,8 @@ def _berkowitz(n, zero, one, red, krylov):
     return vec[::-1]
 
 
-def _berkowitz_padic(M: PadicMatrix):
-    """charpoly(M) over PadicElements, any entries; matvecs use ``_product``."""
-    A = M.rows
-    one, zero = M.field.one(M.precision), M.field.zero(M.precision)
-
-    def krylov(i):
-        R, Msub = A[i - 1][: i - 1], [row[: i - 1] for row in A[: i - 1]]
-        T = [one, zero - A[i - 1][i - 1]]
-        cur = [A[t][i - 1] for t in range(i - 1)]
-        for _ in range(i - 1):
-            sums = _product([R] + Msub, [cur])
-            T.append(zero - sums[0][0])
-            cur = [zero + s[0] for s in sums[1:]]
-        return T
-
-    return _berkowitz(M.nrows, zero, one, lambda v: v, krylov)
-
-
-def _berkowitz_int(A, mod):
-    """charpoly of the integer matrix A, coefficients mod ``mod``."""
-
-    def krylov(i):
-        # only the nonzero entries (t, j, x) of the block M and, as row i - 1, of R
-        rows = [(t, j, x) for t, row in enumerate(A[:i]) for j, x in enumerate(row[: i - 1]) if x]
-        T = [1, (-A[i - 1][i - 1]) % mod]
-        cur = [A[t][i - 1] for t in range(i - 1)]
-        for _ in range(i - 1):
-            nxt = [0] * i
-            for t, j, x in rows:
-                nxt[t] += x * cur[j]
-            T.append(-nxt.pop() % mod)
-            cur = [c % mod for c in nxt]
-        return T
-
-    return _berkowitz(len(A), 0, 1, lambda v: [x % mod for x in v], krylov)
-
-
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def element_to_json(x: PadicElement):
-    return {
-        "p": x.field.p,
-        "m": x.field.m,
-        "modulus": [int(c) for c in x.field.modulus],
-        "precision": x.abs_precision,
-        "shift": x.shift,
-        "coeffs": [str(c) for c in x.coeffs],
-    }
-
-
-def element_from_json(d):
-    field = make_field_cached(d["p"], d["m"], d["precision"])
-    return PadicElement(field, [int(c) for c in d["coeffs"]], d.get("shift", 0), d["precision"])
 
 
 def matrix_to_json(M: PadicMatrix):

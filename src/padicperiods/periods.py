@@ -18,6 +18,7 @@ from .padic import (
     embed_element,
     field_embedding,
     is_exact,
+    kernel_basis,
     make_field_cached,
     matrix_to_json,
     rank_below,
@@ -64,8 +65,11 @@ class PeriodMatrix:
     """A certified rank-(n-1) matrix with its one Smith form L*X*R = D."""
 
     X: PadicMatrix
-    n: int
     smith: SmithForm
+
+    @property
+    def n(self):
+        return self.X.nrows
 
     @property
     def divisors(self):
@@ -93,29 +97,21 @@ def from_matrix(X: PadicMatrix) -> PeriodMatrix:
         raise RankCertificationError("full_rank", sf.divisors)
     if rank < n - 1:
         raise RankCertificationError("rank_deficient", sf.divisors)
-    return PeriodMatrix(X, n, sf)
+    return PeriodMatrix(X, sf)
 
 
 def fil_G(pm: PeriodMatrix) -> ProjectivePoint:
     """Column space of X with its left-kernel covector."""
     sf = pm.smith
-    n = pm.n
-    basis = PadicMatrix(
-        pm.field, [[sf.Linv.rows[i][k] for k in range(n - 1)] for i in range(n)]
-    )
-    normal = list(sf.L.rows[n - 1])
-    return ProjectivePoint(basis, normal)
+    basis = PadicMatrix(pm.field, [row[: pm.n - 1] for row in sf.Linv.rows])
+    return ProjectivePoint(basis, list(sf.L.rows[pm.n - 1]))
 
 
 def fil_H(pm: PeriodMatrix) -> ProjectivePoint:
     """Row space of X with the right-kernel covector."""
     sf = pm.smith
-    n = pm.n
-    basis = PadicMatrix(
-        pm.field, [[sf.Rinv.rows[k][i] for k in range(n - 1)] for i in range(n)]
-    )
-    normal = [sf.R.rows[i][n - 1] for i in range(n)]
-    return ProjectivePoint(basis, normal)
+    basis = PadicMatrix(pm.field, sf.Rinv.rows[: pm.n - 1]).transpose()
+    return ProjectivePoint(basis, [row[pm.n - 1] for row in sf.R.rows])
 
 
 def correspond(pm: PeriodMatrix) -> PeriodMatrix:
@@ -126,9 +122,9 @@ def correspond(pm: PeriodMatrix) -> PeriodMatrix:
     """
     sf = pm.smith
     swap = {"L": "R", "Linv": "Rinv", "R": "L", "Rinv": "Linv"}
-    sf_t = SmithForm(sf.divisors, sf.pivots, sf.rank, sf.pivots_invertible,
+    sf_t = SmithForm(sf.divisors, sf.pivots,
                      lambda name: getattr(sf, swap[name]).transpose(), sf.inverses)
-    return PeriodMatrix(pm.X.transpose(), pm.n, sf_t)
+    return PeriodMatrix(pm.X.transpose(), sf_t)
 
 
 @dataclass
@@ -273,12 +269,7 @@ def random_point(n, field: FieldDescriptor, seed, max_tries=200) -> PeriodMatrix
         verdict = omega_membership(point)
         if not verdict.in_omega:
             continue
-        # hyperplane basis: kernel of the covector
-        row = PadicMatrix(field, [normal])
-        sf = smith_form(row)
-        B = PadicMatrix(
-            field, [[sf.R.rows[i][k] for k in range(1, n)] for i in range(n)]
-        )
+        B = PadicMatrix(field, kernel_basis(PadicMatrix(field, [normal]))).transpose()
         C = PadicMatrix.from_ints(
             field, [[rng.randrange(field.p ** N) for _ in range(n)] for _ in range(n - 1)]
         )

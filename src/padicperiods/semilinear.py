@@ -38,11 +38,8 @@ class Isocrystal:
 
     def apply(self, vec):
         """phi(v) = A * sigma(v) for a column vector (list of elements)."""
-        sv = [x.frobenius() for x in vec]
-        return [
-            sum((a * b for a, b in zip(row[1:], sv[1:])), row[0] * sv[0])
-            for row in self.frob_matrix.rows
-        ]
+        col = PadicMatrix(self.field, [[x] for x in vec]).map_frobenius()
+        return [row[0] for row in (self.frob_matrix * col).rows]
 
     def to_json(self):
         return {
@@ -142,37 +139,31 @@ def phi_fixed_points(iso: Isocrystal, twist=0):
     n, m = iso.dim, f.m
     N = iso.frob_matrix.precision
     gen = f.generator(N) if m > 1 else f.one(N)
-    # columns of the big Q_p-linear matrix of v -> A*sigma(v) - p^twist*v
-    raw_cols = []
+    powers = [gen ** k for k in range(m)]
+    # column j*m + k is g^k e_j; its image under v -> A*sigma(v) - p^twist*v
+    # is a column of the big Q_p-linear matrix
+    zero = f.zero(N)
+    V = PadicMatrix(f, [[powers[k] if i == j else zero for j in range(n) for k in range(m)]
+                        for i in range(n)])
+    img = (iso.frob_matrix * V.map_frobenius()).rows
+    scale = f.p ** tw if tw >= 0 else f.from_int(f.p ** (-tw)).inverse()
     for j in range(n):
         for k in range(m):
-            vec = [f.zero(N)] * n
-            vec[j] = gen ** k
-            img = iso.apply(vec)
-            if tw >= 0:
-                img[j] = img[j] - vec[j] * (f.p ** tw)
-            else:
-                img[j] = img[j] - vec[j] * f.from_int(f.p ** (-tw)).inverse()
-            raw_cols.append(img)
-    Nc = min(x.abs_precision for col in raw_cols for x in col)
+            img[j][j * m + k] = img[j][j * m + k] - powers[k] * scale
+    # row j*m + t holds the coefficients of w^t in row j of the images
+    Nc = min(x.abs_precision for row in img for x in row)
     base = make_field_cached(f.p, 1, Nc)
-    cols = []
-    for img in raw_cols:
-        col = []
-        for x in img:
-            col.extend(base.from_coeffs([c], Nc, x.shift) for c in x.coeffs)
-        cols.append(col)
-    big = PadicMatrix(base, cols).transpose()
-    kern = kernel_basis(big)
+    big = PadicMatrix(base, [[base.from_coeffs([x.coeffs[t]], Nc, x.shift) for x in row]
+                             for row in img for t in range(m)])
     out = []
-    for vec in kern:
+    for vec in kernel_basis(big):
         grouped = []
         for j in range(n):
             coeffs = vec[j * m : (j + 1) * m]
             acc = f.zero(N)
             for k, c in enumerate(coeffs):
                 lifted = f.from_coeffs([c.coeffs[0]], c.abs_precision, c.shift)
-                acc = acc + lifted * (gen ** k)
+                acc = acc + lifted * powers[k]
             grouped.append(acc)
         out.append(grouped)
     return out
@@ -230,16 +221,10 @@ def weak_admissibility_sample(fi: FilteredIsocrystal, sub_objects):
 
 def restrict_frobenius(iso: Isocrystal, S: PadicMatrix) -> Isocrystal:
     """Isocrystal structure on the span of the columns of S; errors if not phi-stable."""
-    d = S.ncols
-    imgs = []
-    for j in range(d):
-        col = [S.rows[i][j] for i in range(S.nrows)]
-        imgs.append(iso.apply(col))
-    B = PadicMatrix(S.field, imgs).transpose()  # n x d, images as columns
-    X = solve_columns(S, B)
+    X = solve_columns(S, iso.frob_matrix * S.map_frobenius())  # images as columns
     if X is None:
         raise ValueError("subspace is not phi-stable at precision")
-    return Isocrystal(iso.field, d, X)
+    return Isocrystal(iso.field, S.ncols, X)
 
 
 def solve_columns(S: PadicMatrix, B: PadicMatrix):

@@ -216,6 +216,9 @@ class TestRejectedInputs:
             ["formal-group", "--p", "2", "--h", "0"],
             ["ledger", "--p", "1", "--h", "1"],
             ["ledger", "--p", "4", "--h", "2"],
+            # primality is decided only below 3.3e24
+            ["ledger", "--p", "3317044064679887385961981", "--h", "2"],
+            ["models", "--n", "2", "--p", "3317044064679887385961981"],
         ],
     )
     def test_exit_2_with_one_line(self, argv):
@@ -329,6 +332,16 @@ class TestContractFuzz:
         if lines:
             json.loads(lines[0])
         assert "Traceback" not in err.getvalue()
+
+    def test_large_prime_p_ends_within_the_deadline(self):
+        # p = 2^61 - 1: trial division to sqrt(p) ran for minutes
+        proc = run_process(["models", "--n", "2", "--p", str(2 ** 61 - 1)], timeout=20)
+        assert proc.returncode in range(6)
+        lines = proc.stdout.splitlines()
+        assert len(lines) <= 1
+        if lines:
+            json.loads(lines[0])
+        assert "Traceback" not in proc.stderr
 
 
 class TestBadPrecisionEnv:

@@ -19,8 +19,6 @@ from padicperiods.padic import (
     PrecisionError,
     certified_rank,
     charpoly,
-    element_from_json,
-    element_to_json,
     embed_element,
     field_embedding,
     is_exact,
@@ -33,8 +31,8 @@ from padicperiods.padic import (
     saturate_lattice,
     smith_form,
     teichmueller,
-    _berkowitz_int,
-    _berkowitz_padic,
+    _berkowitz,
+    _is_prime,
     _poly_eval_poly,
     _poly_inverse,
     _poly_mul,
@@ -532,6 +530,13 @@ def _dense_berkowitz_padic(M):
     return list(reversed(vec))
 
 
+def _element_loop(M):
+    """charpoly(M) by the one Berkowitz loop on the element ring, whatever
+    the entries (``charpoly`` takes the integer ring for a Z_p matrix)."""
+    N = M.precision
+    return _berkowitz(M.rows, M.field.zero(N), M.field.one(N), lambda v: v)
+
+
 def _dense_berkowitz_int(A, mod, n):
     """Reference integer Berkowitz: every row summed over all columns."""
     vec = [1]
@@ -608,7 +613,7 @@ class TestSkippedZeros:
     @settings(max_examples=200, deadline=None)
     @given(st.booleans().flatmap(square_matrices))
     def test_generic_loop_matches_dense_folds(self, M):
-        out = _same_outcome(_dense_berkowitz_padic, _berkowitz_padic, M)
+        out = _same_outcome(_dense_berkowitz_padic, _element_loop, M)
         if out:
             assert all(_same_element(x, y) for x, y in zip(*out, strict=True))
 
@@ -636,7 +641,7 @@ class TestSkippedZeros:
                   for _ in range(n)] for _ in range(n)]
             if rng.random() < 0.5:
                 A[rng.randrange(n)] = [0] * n
-        assert _berkowitz_int(A, mod) == _dense_berkowitz_int(A, mod, n)
+        assert _berkowitz(A, 0, 1, lambda v: [x % mod for x in v]) == _dense_berkowitz_int(A, mod, n)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([2, 3]).flatmap(
@@ -651,7 +656,7 @@ class TestSkippedZeros:
     @given(st.booleans().flatmap(square_matrices))
     def test_charpoly_matches_generic_loop(self, M):
         try:
-            expected = _berkowitz_padic(M)
+            expected = _element_loop(M)
         except PrecisionError:
             with pytest.raises(PrecisionError):
                 charpoly(M)
@@ -1425,7 +1430,7 @@ def test_omega_witness_builds_only_l(monkeypatch):
 
 
 def test_sampler_covector_form_builds_only_r(monkeypatch):
-    forms = _record_forms(monkeypatch, periods)
+    forms = _record_forms(monkeypatch, padic)  # the sampler's kernel_basis makes it
     random_point(2, make_field_cached(2, 2, 8), seed=1)
     covector_forms = [sf for M, sf in forms if M.nrows == 1]
     assert covector_forms and all(_built(sf) == ["R"] for sf in covector_forms)
@@ -1508,12 +1513,12 @@ class TestCharpoly:
         assert c[2].approx_equal(Q2.one())
 
     def test_matches_generic_path(self, Q4):
-        # generic (extension-field) path against the plain-integer path
+        # the element ring of the one loop, over Q_4, against the integer ring
         rng = random.Random(6)
         rows = [[rng.randrange(2 ** 8) for _ in range(4)] for _ in range(4)]
         f1 = make_field_cached(2, 1, 16)
         c_int = charpoly(PadicMatrix.from_ints(f1, rows))
-        c_gen = _berkowitz_padic(PadicMatrix.from_ints(Q4, rows))
+        c_gen = _element_loop(PadicMatrix.from_ints(Q4, rows))
         for a, b in zip(c_int, c_gen):
             assert a.coeffs[0] == b.coeffs[0]
 
@@ -1593,7 +1598,7 @@ class TestCharpolyOracle:
     @given(charpoly_inputs())
     def test_divided_by_p_takes_the_generic_loop(self, inputs):
         # charpoly(A/p)_k = p^(k-n) c_k; an entry of A/p prime to p keeps
-        # shift 1, which sends charpoly to the generic loop
+        # shift 1, which sends charpoly to the element ring of the loop
         p, A = inputs
         assume(any(a % p for row in A for a in row))
         n, N = len(A), 24
@@ -1674,13 +1679,28 @@ class TestElementOracle:
 
 
 class TestJson:
-    def test_element_round_trip(self, Q4):
-        x = Q4.from_coeffs([123, 456], 16, shift=1)
-        y = element_from_json(element_to_json(x))
-        assert y.approx_equal(x) and y.shift == x.shift
-
     def test_matrix_round_trip(self, Q4):
         w = Q4.generator()
-        M = PadicMatrix(Q4, [[Q4.one(), w], [w * 2, w.inverse()]])
-        M2 = matrix_from_json(matrix_to_json(M))
-        assert M2.approx_equal(M)
+        shifted = Q4.from_coeffs([123, 456], 16, shift=1)
+        for M in (PadicMatrix(Q4, [[Q4.one(), w], [w * 2, w.inverse()]]),
+                  PadicMatrix(Q4, [[shifted]])):
+            M2 = matrix_from_json(matrix_to_json(M))
+            assert M2.approx_equal(M)
+            assert [e.shift for r in M2.rows for e in r] == [e.shift for r in M.rows for e in r]
+
+
+class TestIsPrime:
+    def test_matches_trial_division_below_1e5(self):
+        for n in range(10 ** 5):
+            assert _is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))), n
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051, 318665857834031151167461])
+    def test_rejects_strong_pseudoprimes(self, n):
+        # the least strong pseudoprimes to the prime bases up to 7, 31 and 37
+        assert not _is_prime(n)
+
+    def test_large_primes_and_the_limit(self):
+        assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 31 - 1)
+        assert not _is_prime(1000003 * (2 ** 61 - 1))
+        with pytest.raises(ValueError, match="too large"):
+            _is_prime(3317044064679887385961981)

@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from padicperiods.padic import PadicMatrix, make_field_cached
+from padicperiods import semilinear
+from padicperiods.padic import PadicMatrix, PrecisionError, make_field_cached
 from padicperiods.semilinear import (
     FilteredIsocrystal,
     Isocrystal,
@@ -160,3 +163,86 @@ class TestAdmissibility:
         S = PadicMatrix.from_ints(Q2, [[1], [0]])
         with pytest.raises(ValueError):
             restrict_frobenius(iso, S)
+
+
+@st.composite
+def _entries(draw, f):
+    """An entry at precision 2, 6 or 10: often zero, sometimes p-divisible,
+    maybe with a w-part, with a denominator up to p^3."""
+    N = draw(st.sampled_from([2, 6, 10]))
+    if draw(st.integers(0, 2)) == 0:
+        return f.zero(N)
+    v = draw(st.sampled_from([0, 0, 1, 3]))
+    coeffs = [draw(st.integers(0, f.p ** N - 1)) * f.p ** v for _ in range(f.m)]
+    if draw(st.booleans()):
+        coeffs[1:] = [0] * (f.m - 1)
+    return f.from_coeffs(coeffs, N, draw(st.integers(0, 3)))
+
+
+@st.composite
+def _operator_and_columns(draw):
+    """(A, S) over Q_2, Q_4, Q_8, Q_3, Q_9 or Q_27: A is n x n, S is n x d."""
+    f = make_field_cached(draw(st.sampled_from([2, 3])), draw(st.integers(1, 3)), 10)
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    entry = _entries(f)
+    A = PadicMatrix(f, [[draw(entry) for _ in range(n)] for _ in range(n)])
+    S = PadicMatrix(f, [[draw(entry) for _ in range(d)] for _ in range(n)])
+    return A, S
+
+
+def _dense_phi(A, v):
+    """A * sigma(v) by element folds, every product formed."""
+    sv = [x.frobenius() for x in v]
+    out = []
+    for row in A.rows:
+        acc = row[0] * sv[0]
+        for a, b in zip(row[1:], sv[1:]):
+            acc = acc + a * b
+        out.append(acc)
+    return out
+
+
+def _fields(vec):
+    return [(x.coeffs, x.shift, x.abs_precision) for x in vec]
+
+
+class TestPhiByMatrixProduct:
+    """phi = A * sigma is applied as a matrix product; every image entry is
+    the dense element fold's, field by field, and raises where it raises."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_operator_and_columns())
+    def test_apply_matches_dense_fold(self, AS):
+        A, S = AS
+        iso = Isocrystal(A.field, A.nrows, A)
+        for v in map(list, zip(*S.rows)):
+            try:
+                expected = _dense_phi(A, v)
+            except PrecisionError:
+                with pytest.raises(PrecisionError):
+                    iso.apply(v)
+                continue
+            assert _fields(iso.apply(v)) == _fields(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_operator_and_columns())
+    def test_restrict_frobenius_images_match_dense_fold(self, AS):
+        A, S = AS
+        iso = Isocrystal(A.field, A.nrows, A)
+        seen = []
+
+        def spy(span, images):  # records the images; the solve is not under test
+            seen.append(images)
+            return PadicMatrix.identity(span.field, span.ncols)
+
+        with mock.patch.object(semilinear, "solve_columns", spy):
+            try:
+                expected = [_dense_phi(A, col) for col in zip(*S.rows)]
+            except PrecisionError:
+                with pytest.raises(PrecisionError):
+                    restrict_frobenius(iso, S)
+                assert not seen
+                return
+            restrict_frobenius(iso, S)
+        (B,) = seen
+        assert [_fields(col) for col in zip(*B.rows)] == [_fields(col) for col in expected]
