@@ -9,7 +9,9 @@ before its report, 5 integrality assertion failed.
 
 ``formal-group`` truncates its series at total degree D (``--D``, default
 p^h + p) and refuses a D above 128 with exit 2, since the law's cost grows
-about as D^4.
+about as D^4.  ``models`` refuses an ``--n`` above 16 with exit 2 before it
+builds a field: its slopes come from an n^2 x n^2 charpoly, and n = 16 takes
+about 2 s and prints 1.6 MB.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ EXIT_INTEGRALITY = 5
 
 # formal-group's law costs about D^4: D = 128 takes seconds
 FORMAL_MAX_D = 128
+# models' slopes cost about n^5 (an n^2 x n^2 charpoly): n = 16 takes about 2 s, n = 24 13 s
+MODELS_MAX_N = 16
 
 
 def _default_precision():
@@ -66,6 +70,9 @@ def _emit(report, pretty):
 
 def cmd_models(args):
     n, p, precision = args.n, args.p, args.precision
+    if n > MODELS_MAX_N:
+        print(f"models: --n must be <= {MODELS_MAX_N} (got n={n})", file=sys.stderr)
+        return EXIT_BAD_FLAGS
     if not _is_prime(p):
         print(f"models: --p must be a prime (got p={p})", file=sys.stderr)
         return EXIT_BAD_FLAGS

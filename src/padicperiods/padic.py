@@ -132,7 +132,7 @@ def _is_irreducible_mod_p(f, p):
     xq = _poly_powmod(x, p ** m, f, p)
     if _poly_trim([(xi - yi) % p for xi, yi in itertools.zip_longest(xq, x, fillvalue=0)]):
         return False
-    for ell in {q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)}:
+    for ell in _prime_factors(m):
         xd = _poly_powmod(x, p ** (m // ell), f, p)
         g = _poly_gcd_fp(
             [(xi - yi) % p for xi, yi in itertools.zip_longest(xd, x, fillvalue=0)], f, p
@@ -171,6 +171,10 @@ def _is_prime(n):
         else:
             return False
     return True
+
+
+def _prime_factors(m):
+    return {q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)}
 
 
 def _poly_inverse(a, f, p, M):
@@ -277,17 +281,30 @@ class FieldDescriptor:
         return out
 
 
-def _residues(p, m):
+def _residues(p, m, start=0):
     """Coefficient lists [c_0, ..., c_{m-1}] over F_p, in increasing order of
-    the code c_0 + c_1 p + ... + c_{m-1} p^(m-1)."""
-    for code in range(p ** m):
+    the code c_0 + c_1 p + ... + c_{m-1} p^(m-1), from the code ``start``."""
+    for code in range(start, p ** m):
         yield [code // p ** i % p for i in range(m)]
 
 
+def _binomial_may_be_irreducible(p, m):
+    """False when no x^m + c is irreducible over F_p: x^m - a can be only if
+    every prime r | m divides p - 1, and 4 | p - 1 when 4 | m (Lidl and
+    Niederreiter, Finite Fields, Thm 3.75)."""
+    if m % 4 == 0 and (p - 1) % 4:
+        return False
+    return all((p - 1) % r == 0 for r in _prime_factors(m))
+
+
 def _find_modulus(p, m):
+    """The irreducible x^m + c_{m-1} x^(m-1) + ... + c_0 mod p of least code.
+    The binomials are the codes below p; when none of them can be
+    irreducible the walk starts past them, at the same answer."""
     if m == 1:
         return [0, 1]  # generator is 1; modulus x - 0 placeholder unused
-    for c in _residues(p, m):
+    start = 0 if _binomial_may_be_irreducible(p, m) else p
+    for c in _residues(p, m, start):
         if _is_irreducible_mod_p(c + [1], p):
             return c + [1]
     raise PrecisionError("no irreducible polynomial found")  # pragma: no cover
@@ -1135,6 +1152,11 @@ def saturate_lattice(M: PadicMatrix) -> PadicMatrix:
 # characteristic polynomial (division-free Samuelson-Berkowitz)
 
 
+def in_base_field(M: PadicMatrix):
+    """True when every entry of M lies in Q_p: no w-part, any shift."""
+    return M.field.m == 1 or all(not any(e.coeffs[1:]) for r in M.rows for e in r)
+
+
 def charpoly(M: PadicMatrix):
     """Coefficients [a_0, ..., a_n] of det(tI - M), low degree first.
 
@@ -1149,7 +1171,7 @@ def charpoly(M: PadicMatrix):
         raise ValueError("not square")
     f = M.field
     N = M.precision
-    if all(e.shift == 0 and not any(e.coeffs[1:]) for r in M.rows for e in r):
+    if in_base_field(M) and all(e.shift == 0 for r in M.rows for e in r):
         mod = f.p ** N
         pad = (0,) * (f.m - 1)
         A = [[e.coeffs[0] % mod for e in r] for r in M.rows]

@@ -2,8 +2,11 @@
 
 An isocrystal here is a finite free module over Q_{p^m} together with an
 invertible matrix A encoding the sigma-semilinear operator v -> A*sigma(v).
-Slopes are read off the Newton polygon of the characteristic polynomial of
-the sigma^m-linearization.
+Slopes are read off the Newton polygon of a characteristic polynomial: of A
+itself when every entry of A lies in Q_p (sigma fixes A, so phi^m = A^m
+sigma^m), certified for every lift of A within O(p^N) whose entries stay in
+Q_p; otherwise of the sigma^m-linearization A*sigma(A)*...*sigma^(m-1)(A),
+certified for every lift in Q_{p^m}.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .padic import (
     PrecisionError,
     charpoly,
     certified_rank,
+    in_base_field,
     is_exact,
     kernel_basis,
     make_field_cached,
@@ -73,11 +77,19 @@ def linearize(iso: Isocrystal) -> PadicMatrix:
 def newton_slopes(iso: Isocrystal):
     """Multiset of Newton slopes as a sorted list of Fractions.
 
-    Slopes are 1/m times the polygon slopes of the characteristic polynomial
-    of the linearization; their sum equals the valuation of det(A).
+    When every entry of A lies in Q_p, sigma fixes A, phi^m = A^m sigma^m
+    and the slopes are the polygon slopes of charpoly(A) (Dieudonne-Manin);
+    the answer then holds for every lift of A within O(p^N) whose entries
+    stay in Q_p.  Otherwise they are 1/m times the polygon slopes of the
+    charpoly of the linearization, and hold for every lift in Q_{p^m}.
+    Their sum equals the valuation of det(A).
     """
-    m = iso.field.m
-    coeffs = charpoly(linearize(iso))
+    A = iso.frob_matrix
+    if in_base_field(A):
+        m, B = 1, A
+    else:
+        m, B = iso.field.m, linearize(iso)
+    coeffs = charpoly(B)
     pts = []
     unknown = []
     for i, c in enumerate(coeffs):

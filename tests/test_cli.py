@@ -228,6 +228,15 @@ class TestRejectedInputs:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("n", ["17", "40", "1000000"])
+    def test_models_n_above_the_cap(self, n):
+        # refused before any field is built; --n 40 once ran 12 s to exit 4
+        proc = run_process(["models", "--n", n], timeout=20)
+        assert proc.returncode == cli.EXIT_BAD_FLAGS
+        assert proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and "--n" in lines[0] and str(cli.MODELS_MAX_N) in lines[0]
+
     @pytest.mark.parametrize("n, m", [("1", "1"), ("0", "1"), ("-1", "2")])
     def test_correspond_needs_n_at_least_2(self, n, m):
         proc = run_process(["correspond", "--n", n, "--m", m])
@@ -288,7 +297,9 @@ def _argv(*parts):
 ARGVS = st.one_of(
     st.builds(
         lambda n, p, N: _argv("models", "--n", n, "--p", p, "--precision", N),
-        st.integers(1, 3), st.sampled_from([2, 3, 4]), st.integers(1, 16),
+        # n in 1..64, mostly past the cap; below it only 1..3, which run fast
+        st.integers(1, 64).map(lambda n: n if n > cli.MODELS_MAX_N else n % 3 + 1),
+        st.sampled_from([2, 3, 4]), st.integers(1, 16),
     ),
     st.builds(
         lambda n, m, seed, N: _argv("correspond", "--n", n, "--m", m, "--seed", seed,
@@ -343,6 +354,14 @@ class TestContractFuzz:
             json.loads(lines[0])
         assert "Traceback" not in proc.stderr
 
+    def test_large_prime_modulus_search_ends_within_the_deadline(self):
+        # p = 2^61 - 1 is 3 mod 4, so no x^4 + c is irreducible; the
+        # modulus search once walked all p of them
+        proc = run_process(["models", "--n", "4", "--p", str(2 ** 61 - 1)], timeout=20)
+        assert proc.returncode in range(6)
+        assert len(proc.stdout.splitlines()) <= 1
+        assert "Traceback" not in proc.stderr
+
 
 class TestBadPrecisionEnv:
     """A PADIC_PRECISION that is not an integer >= 1 is refused, not replaced."""
@@ -360,8 +379,9 @@ class TestBadPrecisionEnv:
 
 class TestPrecisionErrorExit:
     def test_exit_4_with_one_line(self):
-        # the Newton polygon of DG(5) needs precision above v(det) = 25
-        proc = run_process(["models", "--n", "5", "--precision", "14"])
+        # DG(5)'s slopes come from charpoly(A), whose constant term has
+        # valuation v(det A) = 5: precision 5 cannot tell it from zero
+        proc = run_process(["models", "--n", "5", "--precision", "5"])
         assert proc.returncode == cli.EXIT_INDETERMINATE
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr

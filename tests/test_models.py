@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicperiods.padic import PadicMatrix, make_field_cached, teichmueller
+from padicperiods.padic import PadicMatrix, PrecisionError, make_field_cached, teichmueller
 from padicperiods.semilinear import Isocrystal, newton_slopes
 from padicperiods.models import (
     build_DG,
@@ -114,6 +114,18 @@ def test_slopes_over_model_field(n):
     dh, dg = build_DH(n, precision=32), build_DG(n, precision=32)
     assert newton_slopes(dh.isocrystal(dh.field)) == [Fraction(1, n)] * n
     assert newton_slopes(dg.isocrystal(dg.field)) == [Fraction(1, n)] * (n * n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_resolution_thresholds(n):
+    """The models' entries lie in Q_p, so their slopes come from charpoly(A),
+    whose constant term has valuation v(det A): 1 for DH(n), n for DG(n).
+    The polygon resolves from one digit above it."""
+    for build, v_det, dim in ((build_DH, 1, n), (build_DG, n, n * n)):
+        low, high = build(n, precision=v_det), build(n, precision=v_det + 1)
+        with pytest.raises(PrecisionError):
+            newton_slopes(low.isocrystal(low.field))
+        assert newton_slopes(high.isocrystal(high.field)) == [Fraction(1, n)] * dim
 
 
 class TestIota:

@@ -32,12 +32,16 @@ from padicperiods.padic import (
     smith_form,
     teichmueller,
     _berkowitz,
+    _binomial_may_be_irreducible,
+    _find_modulus,
+    _is_irreducible_mod_p,
     _is_prime,
     _poly_eval_poly,
     _poly_inverse,
     _poly_mul,
     _poly_mulmod,
     _poly_rem,
+    _residues,
 )
 from padicperiods import periods
 from padicperiods.periods import (
@@ -1704,3 +1708,30 @@ class TestIsPrime:
         assert not _is_prime(1000003 * (2 ** 61 - 1))
         with pytest.raises(ValueError, match="too large"):
             _is_prime(3317044064679887385961981)
+
+
+def _code(c, p):
+    return sum(x * p ** i for i, x in enumerate(c))
+
+
+class TestFindModulus:
+    """The modulus is the irreducible polynomial of least code; skipping the
+    binomials where none can be irreducible keeps it."""
+
+    def test_matches_the_walk_from_code_0(self):
+        for p in (q for q in range(2, 60) if _is_prime(q)):
+            for m in range(2, 9):
+                if p ** m > 3 * 10 ** 6:
+                    break
+                first = next(c + [1] for c in _residues(p, m) if _is_irreducible_mod_p(c + [1], p))
+                assert _find_modulus(p, m) == first, (p, m)
+                if not _binomial_may_be_irreducible(p, m):
+                    assert _code(first[:-1], p) >= p, (p, m)
+
+    @pytest.mark.parametrize("p", [1000003, 2 ** 61 - 1])
+    def test_large_p_within_a_few_codes(self, p):
+        # about one monic polynomial of degree m in m is irreducible; the
+        # furthest here is 11 codes past the start (p = 10^6 + 3, m = 5)
+        for m in range(2, 9):
+            start = 0 if _binomial_may_be_irreducible(p, m) else p
+            assert _code(_find_modulus(p, m)[:-1], p) < start + 4 * m, m

@@ -5,10 +5,17 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from padicperiods import semilinear
-from padicperiods.padic import PadicMatrix, PrecisionError, make_field_cached
+from padicperiods.padic import (
+    PadicMatrix,
+    PrecisionError,
+    charpoly,
+    in_base_field,
+    is_exact,
+    make_field_cached,
+)
 from padicperiods.semilinear import (
     FilteredIsocrystal,
     Isocrystal,
@@ -81,6 +88,13 @@ class TestSlopes:
             G = PadicMatrix.from_ints(Q4, [[a, b], [0, c]])
             A2 = G * A * G.map_frobenius(1).inverse()
             assert newton_slopes(Isocrystal(Q4, 2, A2)) == base
+
+    def test_w_part_takes_the_linearization(self, Q4):
+        # A's eigenvalues have valuations 0 and 1, but phi^2 = A*sigma(A)
+        # has both of valuation 1: sigma does not fix A
+        w = Q4.generator()
+        A = PadicMatrix(Q4, [[Q4.one(), w], [w, Q4.one() + w]])
+        assert newton_slopes(Isocrystal(Q4, 2, A)) == [Fraction(1, 2)] * 2
 
     def test_json_form(self):
         assert slopes_to_json([Fraction(1, 2), Fraction(3)]) == ["1/2", "3/1"]
@@ -246,3 +260,109 @@ class TestPhiByMatrixProduct:
             restrict_frobenius(iso, S)
         (B,) = seen
         assert [_fields(col) for col in zip(*B.rows)] == [_fields(col) for col in expected]
+
+
+@st.composite
+def _slope_operator(draw, w_part):
+    """A over Q_{p^m}, p in {2, 3}, at one precision N <= 8: entries often
+    zero, sometimes p-divisible, with a denominator up to p^2.  With
+    ``w_part`` (m >= 2) at least one entry has a w-part; without it every
+    entry lies in Q_p."""
+    p = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(2 if w_part else 1, 4))
+    f = make_field_cached(p, m, 16)
+    n, N = draw(st.integers(1, 4)), draw(st.integers(2, 8))
+
+    def entry():
+        if draw(st.integers(0, 2)) == 0:
+            return f.zero(N)
+        v = draw(st.sampled_from([0, 0, 1, 2]))
+        coeffs = [draw(st.integers(0, p ** N - 1)) * p ** v
+                  for _ in range(m if w_part else 1)]
+        return f.from_coeffs(coeffs, N, draw(st.integers(0, 2)))
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if w_part:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = rows[i][j] + f.generator(N)
+    A = PadicMatrix(f, rows)
+    assume(in_base_field(A) != w_part)  # the added w can cancel a drawn w-part
+    return A
+
+
+def _lift(A, rng, w_part):
+    """A + p^N * E at precision 2N, E random with entries in Z_p, or in
+    Z_{p^m} with ``w_part``: a lift of A within O(p^N)."""
+    f, N = A.field, A.precision
+
+    def lift(x):
+        unit = f.p ** (N + x.shift)  # p^N in the coefficients' scale
+        return f.from_coeffs(
+            [c + unit * (rng.randrange(f.p ** N) if i == 0 or w_part else 0)
+             for i, c in enumerate(x.coeffs)], 2 * N, x.shift)
+
+    return PadicMatrix(f, [[lift(x) for x in row] for row in A.rows])
+
+
+def _polygon_slopes(coeffs):
+    """Slopes of the lower hull of the exact points (i, v(c_i)), walked from
+    each vertex to the farthest point of least slope; None when the
+    constant term is not exact or an AtLeast bound lies below the hull."""
+    vals = [c.valuation() for c in coeffs]
+    if not is_exact(vals[0]):
+        return None
+    slopes, i = [], 0
+    while i < len(vals) - 1:
+        later = [j for j in range(i + 1, len(vals)) if is_exact(vals[j])]
+        j = min(later, key=lambda j: (Fraction(vals[j] - vals[i], j - i), -j))
+        for k in range(i + 1, j):
+            hull = vals[i] + Fraction((vals[j] - vals[i]) * (k - i), j - i)
+            if not is_exact(vals[k]) and vals[k].n < hull:
+                return None
+        slopes += [Fraction(vals[i] - vals[j], j - i)] * (j - i)
+        i = j
+    return slopes
+
+
+def _starved(m):
+    """[[0, 2^-2, 0], [0, 0, 4], [4, 0, 0]] over Q_{2^m} at precision 3, its
+    zeros O(2^3): charpoly(A) is -4 + (0 + O(2)) t + (0 + O(2^3)) t^2 + t^3,
+    and the t-coefficient's bound 1 lies below the hull value 4/3 through
+    v(det A) = 2.  A lift of the zero beside 2^-2 moves it to valuation 1."""
+    f = make_field_cached(2, m, 16)
+    z, q = f.zero(3), f.from_int(4, 3)
+    return PadicMatrix(f, [[z, f.from_coeffs([1], 3, 2), z], [z, z, q], [q, z, z]])
+
+
+class TestSlopeRoutes:
+    """newton_slopes reads charpoly(A) when A is sigma-stable and the
+    charpoly of the sigma^m-linearization otherwise; each route's answer
+    holds for the lifts it certifies."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans().flatmap(lambda w: st.tuples(_slope_operator(w), st.just(w))),
+           st.randoms(use_true_random=False))
+    # Random(1) lifts the zero beside 2^-2 by an odd multiple of 2^3
+    @example((_starved(1), False), random.Random(1))
+    @example((_starved(2), False), random.Random(1))
+    def test_slopes_hold_for_every_lift(self, Aw, rng):
+        A, w_part = Aw
+        try:
+            slopes = newton_slopes(Isocrystal(A.field, A.nrows, A))
+        except PrecisionError:
+            return
+        lift = _lift(A, rng, w_part)
+        assert newton_slopes(Isocrystal(A.field, A.nrows, lift)) == slopes
+
+    @settings(max_examples=100, deadline=None)
+    @given(_slope_operator(False))
+    def test_sigma_stable_agrees_with_the_linearization(self, A):
+        iso = Isocrystal(A.field, A.nrows, A)
+        try:
+            expected = _polygon_slopes(charpoly(linearize(iso)))
+        except PrecisionError:  # a product with no digits: the route does not resolve
+            expected = None
+        if expected is None:
+            return
+        m = A.field.m
+        assert newton_slopes(iso) == sorted(s / m for s in expected)
