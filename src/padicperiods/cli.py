@@ -11,12 +11,21 @@ before its report, 5 integrality assertion failed.
 p^h + p) and refuses a D above 128 with exit 2, since the law's cost grows
 about as D^4.  ``models`` refuses an ``--n`` above 16 with exit 2 before it
 builds a field: its slopes come from an n^2 x n^2 charpoly, and n = 16 takes
-about 2 s and prints 1.6 MB.
+about 2 s and prints 1.6 MB.  ``correspond`` refuses with exit 2, before it
+builds a field, an ``--n`` above 16 (a ``--matrix`` file's n too), an ``--m``
+above 64, and a p^N of more than 4000 digits, N from ``--precision`` or
+``PADIC_PRECISION``: its report prints integers just below p^N, and CPython
+writes an int of at most 4300 digits.  n = 16, m = 64 takes about 5 s.
+
+``PADIC_PRECISION`` (default 32) is read on every ``main`` call, so an
+in-process caller may change it between calls; the parser is built once per
+process, on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -46,6 +55,13 @@ EXIT_INTEGRALITY = 5
 FORMAL_MAX_D = 128
 # models' slopes cost about n^5 (an n^2 x n^2 charpoly): n = 16 takes about 2 s, n = 24 13 s
 MODELS_MAX_N = 16
+# correspond: building Q_{p^m} takes 0.6 s at m = 64 and 13 s at m = 128; the
+# pipeline takes 0.7 s at n = m = 16 and 7.6 s at n = m = 32 (5 s at n = 16, m = 64)
+CORRESPOND_MAX_M = 64
+CORRESPOND_MAX_N = 16
+# correspond prints integers just below p^N (an entry may carry a digit or so
+# more), and CPython's default limit on int-to-str conversion is 4300 digits
+CORRESPOND_MAX_DIGITS = 4000
 
 
 def _default_precision():
@@ -107,6 +123,25 @@ def cmd_models(args):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _correspond_refusal(n, m, p, precision):
+    """The cap a sampled correspond run breaks, as one line, or None.  p^N is
+    formed only below 2^(2 * bits(10^CORRESPOND_MAX_DIGITS)): above that,
+    p^N >= 2^(N * (bits(p) - 1)) is already past the cap."""
+    if n > CORRESPOND_MAX_N:
+        return f"--n must be <= {CORRESPOND_MAX_N} (got n={n})"
+    if m > CORRESPOND_MAX_M:
+        return f"--m must be <= {CORRESPOND_MAX_M} (got m={m})"
+    limit = 10 ** CORRESPOND_MAX_DIGITS
+    if precision > 0 and (
+        precision * (p.bit_length() - 1) >= limit.bit_length() or p ** precision >= limit
+    ):
+        return (
+            f"--precision (or PADIC_PRECISION) must keep p^N below "
+            f"10^{CORRESPOND_MAX_DIGITS} (got p={p}, N={precision})"
+        )
+    return None
+
+
 def cmd_correspond(args):
     precision = args.precision
     n = args.n
@@ -121,6 +156,10 @@ def cmd_correspond(args):
             print(f"correspond: --matrix {args.matrix}: {exc}", file=sys.stderr)
             return EXIT_BAD_FLAGS
         n = X.nrows
+        if n > CORRESPOND_MAX_N:
+            print(f"correspond: --matrix {args.matrix}: n must be <= {CORRESPOND_MAX_N} "
+                  f"(got n={n})", file=sys.stderr)
+            return EXIT_BAD_FLAGS
         report["n"] = n
         report["source"] = {"matrix": args.matrix}
         try:
@@ -145,6 +184,10 @@ def cmd_correspond(args):
                 "whenever m < n",
                 file=sys.stderr,
             )
+            return EXIT_BAD_FLAGS
+        refusal = _correspond_refusal(n, m, args.p, precision)
+        if refusal:
+            print(f"correspond: {refusal}", file=sys.stderr)
             return EXIT_BAD_FLAGS
         report["source"] = {"seed": args.seed, "m": m}
         K = make_field_cached(args.p, m, precision)
@@ -276,7 +319,10 @@ def cmd_formal_group(args):
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser():
+    """The one parser of this process; ``--precision`` has no default here,
+    since ``main`` reads ``PADIC_PRECISION`` on every call."""
     ap = argparse.ArgumentParser(
         prog="padic-periods",
         description="Deterministic JSON reports for p-adic period-domain checks.",
@@ -287,7 +333,7 @@ def build_parser():
     m = sub.add_parser("models", help="build both integral models and slope reports")
     m.add_argument("--n", type=int, required=True)
     m.add_argument("--p", type=int, default=2, help="the prime p of Q_p (default 2)")
-    m.add_argument("--precision", type=int, default=_default_precision())
+    m.add_argument("--precision", type=int)
     m.set_defaults(func=cmd_models)
 
     c = sub.add_parser("correspond", help="sample/load a period matrix and run checks")
@@ -296,7 +342,7 @@ def build_parser():
     c.add_argument("--p", type=int, default=2)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--matrix", help="JSON file holding the matrix")
-    c.add_argument("--precision", type=int, default=_default_precision())
+    c.add_argument("--precision", type=int)
     c.set_defaults(func=cmd_correspond)
 
     l = sub.add_parser("ledger", help="CM valuation table or height-transfer check")
@@ -316,11 +362,13 @@ def build_parser():
 
 def main(argv=None):
     try:
-        ap = build_parser()  # binds the PADIC_PRECISION default
+        precision = _default_precision()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FLAGS
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if getattr(args, "precision", precision) is None:  # ledger, formal-group take none
+        args.precision = precision
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -1,9 +1,11 @@
 """CLI: subcommand behavior, exit codes, JSON shape, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -256,6 +258,88 @@ class TestRejectedInputs:
         assert len(lines) == 1 and "--heights" in lines[0]
 
 
+class Reached(Exception):
+    pass
+
+
+class TestCorrespondCaps:
+    """correspond refuses n, m and p^N past their caps with exit 2 and one
+    line naming the flag, before it builds a field; just below, it builds one."""
+
+    @pytest.fixture
+    def no_field(self, monkeypatch):
+        def reached(*args):
+            raise Reached
+        monkeypatch.setattr(cli, "make_field_cached", reached)
+        monkeypatch.delenv("PADIC_PRECISION", raising=False)
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--n", "17", "--m", "17"], "--n"),
+        (["--n", "64", "--m", "64"], "--n"),
+        (["--n", "2", "--m", "65"], "--m"),
+        (["--n", "2", "--m", "1000"], "--m"),
+        (["--n", "2", "--m", "2", "--precision", "13288"], "--precision"),
+        # --precision 100000 once ran 5.6 s to fail in the JSON writer
+        (["--n", "2", "--m", "2", "--precision", "100000"], "--precision"),
+        (["--n", "2", "--m", "2", "--p", "3", "--precision", "8384"], "--precision"),
+        (["--n", "2", "--m", "2", "--p", "1000003", "--precision", "667"], "--precision"),
+        (["--n", "2", "--m", "2", "--p", str(2 ** 61 - 1), "--precision", "1000000"],
+         "--precision"),
+    ])
+    @pytest.mark.usefixtures("no_field")
+    def test_past_the_cap(self, capsys, flags, flag):
+        code, out, err = run(capsys, ["correspond", *flags])
+        assert code == cli.EXIT_BAD_FLAGS
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and flag in lines[0]
+
+    @pytest.mark.usefixtures("no_field")
+    def test_env_precision_past_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("PADIC_PRECISION", "100000")
+        code, out, err = run(capsys, ["correspond", "--n", "2", "--m", "2"])
+        assert code == cli.EXIT_BAD_FLAGS
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "PADIC_PRECISION" in lines[0]
+
+    @pytest.mark.parametrize("flags", [
+        ["--n", "16", "--m", "64"],
+        ["--n", "2", "--m", "2", "--precision", "13287"],
+        ["--n", "2", "--m", "2", "--p", "3", "--precision", "8383"],
+        ["--n", "2", "--m", "2", "--p", "1000003", "--precision", "666"],
+    ])
+    @pytest.mark.usefixtures("no_field")
+    def test_at_the_cap(self, capsys, flags):
+        with pytest.raises(Reached):
+            cli.main(["correspond", *flags])
+
+    def test_matrix_file_n_past_the_cap(self, tmp_path, capsys, monkeypatch):
+        n = cli.CORRESPOND_MAX_N + 1
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(matrix_to_json(
+            PadicMatrix.identity(make_field_cached(2, 1, 8), n))))
+        monkeypatch.setattr(cli.periods, "from_matrix", lambda X: pytest.fail("ran"))
+        code, out, err = run(capsys, ["correspond", "--matrix", str(path)])
+        assert code == cli.EXIT_BAD_FLAGS
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "--matrix" in lines[0] and f"n={n}" in lines[0]
+
+
+@pytest.mark.parametrize("p", [2, 3, 10 ** 6 + 3])
+def test_correspond_at_the_digit_cap_prints(capsys, p):
+    # the report's integers lie just below p^N, or a digit above: at p = 3,
+    # N = 9012 (p^N of 4300 digits) one had 4301, past what CPython writes
+    N = int(cli.CORRESPOND_MAX_DIGITS / math.log10(p)) + 1
+    while p ** N >= 10 ** cli.CORRESPOND_MAX_DIGITS:
+        N -= 1
+    code, out, _ = run(capsys, ["correspond", "--n", "2", "--m", "2", "--p", str(p),
+                                "--precision", str(N)])
+    assert code == 0
+    assert json.loads(out)["precision"] == N
+
+
 def _q4_document():
     return matrix_to_json(PadicMatrix.from_ints(make_field_cached(2, 2, 16), [[1, 1], [1, 1]]))
 
@@ -293,6 +377,27 @@ def _argv(*parts):
     return [str(x) for x in parts if x is not None]
 
 
+def _past_the_digit_cap(p, N):
+    # p^N >= 2^N, and 2^13288 > 10^4000 already
+    return p ** min(N, 13288) >= 10 ** cli.CORRESPOND_MAX_DIGITS
+
+
+def _correspond_argv(n, m, p, N, seed):
+    if N is not None and not _past_the_digit_cap(p, N):
+        N = N % 32 + 1
+    return _argv("correspond", "--n", n, "--m", m, "--p", p, "--seed", seed,
+                 *(("--precision", N) if N else ()))
+
+
+def _correspond_refused(argv):
+    """Whether a sampled correspond argv breaks a documented rule."""
+    flags = dict(zip(argv[1::2], map(int, argv[2::2])))
+    n, m, p = flags["--n"], flags["--m"], flags.get("--p", 2)
+    N = flags.get("--precision") or cli._default_precision()
+    return (n < 2 or m < n or n > cli.CORRESPOND_MAX_N or m > cli.CORRESPOND_MAX_M
+            or _past_the_digit_cap(p, N))
+
+
 # Bounded argv for every subcommand, bad values included.
 ARGVS = st.one_of(
     st.builds(
@@ -306,6 +411,15 @@ ARGVS = st.one_of(
                                     *(("--precision", N) if N else ())),
         st.integers(0, 3), st.integers(0, 4), st.integers(0, 2 ** 31 - 1),
         st.none() | st.integers(1, 32),
+    ),
+    st.builds(
+        _correspond_argv,
+        # each flag is past its cap about half the time, where the refusal is
+        # immediate; below the caps only n <= 3, m <= 4 and N <= 32, which run fast
+        st.integers(0, 3) | st.integers(cli.CORRESPOND_MAX_N + 1, 64),
+        st.integers(0, 4) | st.integers(cli.CORRESPOND_MAX_M + 1, 1000),
+        st.sampled_from([2, 3, 10 ** 6 + 3]), st.none() | st.integers(1, 10 ** 5),
+        st.integers(0, 2 ** 31 - 1),
     ),
     st.builds(
         lambda hs: ["ledger", "--heights=" + ",".join(map(str, hs))],
@@ -338,6 +452,8 @@ class TestContractFuzz:
             except SystemExit as exc:  # argparse refusing a flag
                 code = exc.code
         assert code in range(6), (argv, code)
+        if argv[0] == "correspond":  # exit 2 only for a refused flag
+            assert (code == cli.EXIT_BAD_FLAGS) == _correspond_refused(argv), (argv, code)
         lines = out.getvalue().splitlines()
         assert len(lines) <= 1
         if lines:
@@ -375,6 +491,24 @@ class TestBadPrecisionEnv:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and "PADIC_PRECISION" in lines[0]
+
+
+    @pytest.mark.parametrize("value", ["abc", "0", ""])
+    @pytest.mark.parametrize("argv", [
+        ["models", "--n", "1"],
+        ["correspond", "--n", "2", "--m", "2"],
+        ["ledger", "--p", "2", "--h", "1"],
+        ["formal-group", "--p", "2", "--h", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_in_process_after_a_good_call(self, capsys, monkeypatch, argv, value):
+        monkeypatch.delenv("PADIC_PRECISION", raising=False)
+        assert run(capsys, argv)[0] == 0
+        monkeypatch.setenv("PADIC_PRECISION", value)
+        code, out, err = run(capsys, argv)
+        assert code == cli.EXIT_BAD_FLAGS
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: PADIC_PRECISION")
 
 
 class TestPrecisionErrorExit:
@@ -419,11 +553,38 @@ class TestDeterminism:
         assert json.loads(plain) == json.loads(pretty)
 
     def test_env_precision(self, capsys, monkeypatch):
-        monkeypatch.setenv("PADIC_PRECISION", "12")
-        # the parser default is bound when the parser is built
-        parser = cli.build_parser()
-        args = parser.parse_args(["models", "--n", "1"])
-        assert args.precision == 12
+        # PADIC_PRECISION is read on every call, not when the parser is built
+        for argv in (["models", "--n", "1"], ["correspond", "--n", "2", "--m", "2"]):
+            for value in (12, 20):
+                monkeypatch.setenv("PADIC_PRECISION", str(value))
+                code, out, _ = run(capsys, argv)
+                assert code == 0 and json.loads(out)["precision"] == value
+            code, out, _ = run(capsys, [*argv, "--precision", "16"])
+            assert code == 0 and json.loads(out)["precision"] == 16
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        # each build adds the subcommands once
+        builds = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def spy(self, **kwargs):
+            builds.append(self.prog)
+            return add_subparsers(self, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", spy)
+        cli.build_parser.cache_clear()
+        try:
+            for i in range(20):
+                if i % 4 == 3:  # a bad flag: argparse exits 2
+                    with pytest.raises(SystemExit) as exc:
+                        cli.main(["ledger", "--p", "two"])
+                    assert exc.value.code == cli.EXIT_BAD_FLAGS
+                else:
+                    assert cli.main(["ledger", "--p", "2", "--h", str(i % 4 + 1)]) == 0
+        finally:
+            cli.build_parser.cache_clear()
+        capsys.readouterr()
+        assert builds == ["padic-periods"]
 
 
 CLI_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "cli_digests.json"
