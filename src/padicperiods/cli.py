@@ -15,7 +15,9 @@ about 2 s and prints 1.6 MB.  ``correspond`` refuses with exit 2, before it
 builds a field, an ``--n`` above 16 (a ``--matrix`` file's n too), an ``--m``
 above 64, and a p^N of more than 4000 digits, N from ``--precision`` or
 ``PADIC_PRECISION``: its report prints integers just below p^N, and CPython
-writes an int of at most 4300 digits.  n = 16, m = 64 takes about 5 s.
+writes an int of at most 4300 digits.  n = 16, m = 64 takes about 5 s.  A
+``--matrix`` file's m and p^precision meet the same caps, read before its
+field is built.
 
 ``PADIC_PRECISION`` (default 32) is read on every ``main`` call, so an
 in-process caller may change it between calls; the parser is built once per
@@ -36,6 +38,7 @@ from .ledger import _frac_str
 from .padic import (
     PrecisionError,
     _is_prime,
+    _json_int,
     make_field_cached,
     matrix_from_json,
     matrix_to_json,
@@ -123,23 +126,39 @@ def cmd_models(args):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _correspond_refusal(n, m, p, precision):
-    """The cap a sampled correspond run breaks, as one line, or None.  p^N is
-    formed only below 2^(2 * bits(10^CORRESPOND_MAX_DIGITS)): above that,
-    p^N >= 2^(N * (bits(p) - 1)) is already past the cap."""
-    if n > CORRESPOND_MAX_N:
-        return f"--n must be <= {CORRESPOND_MAX_N} (got n={n})"
+def _field_refusal(m, p, precision, m_key, precision_key):
+    """The cap that Q_{p^m} at precision N breaks, as one line naming the
+    key, or None.  p^N is formed only below 2^(2 * bits(10^CORRESPOND_MAX_DIGITS)):
+    above that, p^N >= 2^(N * (bits(p) - 1)) is already past the cap."""
     if m > CORRESPOND_MAX_M:
-        return f"--m must be <= {CORRESPOND_MAX_M} (got m={m})"
+        return f"{m_key} must be <= {CORRESPOND_MAX_M} (got m={m})"
     limit = 10 ** CORRESPOND_MAX_DIGITS
     if precision > 0 and (
         precision * (p.bit_length() - 1) >= limit.bit_length() or p ** precision >= limit
     ):
         return (
-            f"--precision (or PADIC_PRECISION) must keep p^N below "
+            f"{precision_key} must keep p^N below "
             f"10^{CORRESPOND_MAX_DIGITS} (got p={p}, N={precision})"
         )
     return None
+
+
+def _correspond_refusal(n, m, p, precision):
+    """The cap a sampled correspond run breaks, as one line, or None."""
+    if n > CORRESPOND_MAX_N:
+        return f"--n must be <= {CORRESPOND_MAX_N} (got n={n})"
+    return _field_refusal(m, p, precision, "--m", "--precision (or PADIC_PRECISION)")
+
+
+def _matrix_file_refusal(doc):
+    """The cap that a --matrix document's field breaks, read from its p, m
+    and precision before the field is built; a document without those as
+    integers is left to ``matrix_from_json``."""
+    try:
+        p, m, N = (_json_int(doc[k], k) for k in ("p", "m", "precision"))
+    except (KeyError, TypeError, ValueError):
+        return None
+    return _field_refusal(m, p, N, "m", "precision")
 
 
 def cmd_correspond(args):
@@ -149,7 +168,11 @@ def cmd_correspond(args):
     if args.matrix:
         try:
             with open(args.matrix) as fh:
-                X = matrix_from_json(json.load(fh))
+                doc = json.load(fh)
+            refusal = _matrix_file_refusal(doc)
+            if refusal:
+                raise ValueError(refusal)
+            X = matrix_from_json(doc)
             if X.nrows != X.ncols or X.nrows < 2:
                 raise ValueError(f"need an n x n matrix, n >= 2 (got {X.nrows}x{X.ncols})")
         except (OSError, ValueError) as exc:

@@ -180,28 +180,41 @@ def _prime_factors(m):
 def _poly_inverse(a, f, p, M):
     """Inverse of a modulo (f, p^M) for monic f; a must be a unit (nonzero residue).
 
-    Solves a*z = 1 by Gauss-Jordan elimination mod p^M on the matrix whose
-    column j is a*x^j mod f.  A unit's matrix is invertible mod p, so each
-    column has a pivot prime to p below the diagonal.
+    Solves a*z = 1 mod p^M on the matrix whose column j is a*x^j mod f:
+    forward elimination clears each column below its pivot, the first row
+    with an entry prime to p, updating only the columns right of it and the
+    right-hand side; back substitution then uses the kept pivot inverses.
+    A unit's matrix is invertible mod p, so each column has such a pivot.
     """
     m, mod = len(f) - 1, p ** M
     col, cols = [x % mod for x in a] + [0] * (m - len(a)), []
-    for _ in range(m):
+    for _ in range(m - 1):
         cols.append(col)
         col = [(c - col[-1] * fc) % mod for c, fc in zip([0] + col[:-1], f)]  # x * col
-    rows = [[cj[i] for cj in cols] + [int(i == 0)] for i in range(m)]
+    cols.append(col)
+    rows = [list(row) for row in zip(*cols)]
+    z = [1] + [0] * (m - 1)  # the right-hand side, solved in place
+    invs = []
     for k in range(m):
-        piv = next((i for i in range(k, m) if rows[i][k] % p), None)
-        if piv is None:
-            raise ZeroDivisionError("not a unit")
-        rows[k], rows[piv] = rows[piv], rows[k]
-        inv = pow(rows[k][k], -1, mod)
-        rk = rows[k] = [x * inv % mod for x in rows[k]]
-        for i, row in enumerate(rows):
-            if i != k and row[k]:
-                c = row[k]
-                rows[i] = [(x - c * y) % mod for x, y in zip(row, rk)]
-    return _poly_trim([row[m] for row in rows])
+        if not rows[k][k] % p:
+            piv = next((i for i in range(k + 1, m) if rows[i][k] % p), None)
+            if piv is None:
+                raise ZeroDivisionError("not a unit")
+            rows[k], rows[piv] = rows[piv], rows[k]
+            z[k], z[piv] = z[piv], z[k]
+        rk, zk = rows[k], z[k]
+        inv = pow(rk[k], -1, mod)
+        invs.append(inv)
+        right = rk[k + 1:]
+        for i in range(k + 1, m):
+            row = rows[i]
+            if row[k]:
+                c = row[k] * inv % mod
+                row[k + 1:] = [(x - c * y) % mod for x, y in zip(row[k + 1:], right)]
+                z[i] = (z[i] - c * zk) % mod
+    for k in range(m - 1, -1, -1):
+        z[k] = (z[k] - sum(map(int.__mul__, rows[k][k + 1:], z[k + 1:]))) * invs[k] % mod
+    return _poly_trim(z)
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +499,9 @@ def _sum(p, xc, sx, yc, sy, sign):
     return [u - w for u, w in zip(xc, yc)], sx
 
 
+_UNNORMALIZED = object()  # PadicElement's v when the form is not yet normal
+
+
 class PadicElement:
     """Element of Q_{p^m} at absolute precision N.
 
@@ -493,15 +509,20 @@ class PadicElement:
     c_i stored modulo p^(N+shift).  Since the basis 1, w, ..., w^{m-1} is an
     integral basis of the unramified extension, the valuation is the minimum
     coefficient valuation minus the shift.  ``_normal`` gives the stored
-    form, and the valuation it finds is kept.
+    form, and the valuation it finds is kept.  Only kernel code passes ``v``:
+    (coeffs, shift, abs_precision, v) is then already a ``_normal`` form,
+    and it is stored as it is.
     """
 
     __slots__ = ("field", "coeffs", "shift", "abs_precision", "_v")
 
-    def __init__(self, field, coeffs, shift, abs_precision):
+    def __init__(self, field, coeffs, shift, abs_precision, v=_UNNORMALIZED):
         self.field = field
-        self.coeffs, self.shift, self.abs_precision, self._v = _normal(
-            field.p, coeffs, shift, abs_precision)
+        if v is _UNNORMALIZED:
+            self.coeffs, self.shift, self.abs_precision, self._v = _normal(
+                field.p, coeffs, shift, abs_precision)
+        else:
+            self.coeffs, self.shift, self.abs_precision, self._v = coeffs, shift, abs_precision, v
 
     # -- queries ----------------------------------------------------------
 
@@ -964,7 +985,12 @@ def _replay(f, n, steps, cols, inverse, one, zero):
                 T[k] = [_fused(f, x, fct, y, 1) for x, y in zip(T[k], T[i])]
             else:
                 T[i] = [_fused(f, x, fct, y, -1) for x, y in zip(T[i], T[k])]
-    return [[PadicElement(f, e[0], e[1], e[2]) for e in row] for row in T]
+    elements = {}  # one per entry object: T keeps every entry alive, so ids stay distinct
+    for row in T:
+        for e in row:
+            if id(e) not in elements:
+                elements[id(e)] = PadicElement(f, *e)
+    return [[elements[id(e)] for e in row] for row in T]
 
 
 def smith_form(M: PadicMatrix) -> SmithForm:
@@ -1030,7 +1056,7 @@ def smith_form(M: PadicMatrix) -> SmithForm:
                 row[j] = _fused(f, row[j], row[k], fct, -1)
         steps.append((k, bi, bj, row_fcts, col_fcts))
         divisors.append(v)
-        pivots.append(PadicElement(f, pivot[0], pivot[1], pivot[2]))
+        pivots.append(PadicElement(f, *pivot))
         inverses.append(pinv)
     divisors += [AtLeast(N)] * (min(r, c) - len(divisors))
 

@@ -9,13 +9,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import padicperiods
-from padicperiods import cli, formal
+from padicperiods import cli, formal, padic
 from padicperiods.padic import PadicMatrix, make_field_cached, matrix_to_json
 
 
@@ -325,6 +326,38 @@ class TestCorrespondCaps:
         assert out == ""
         lines = err.strip().splitlines()
         assert len(lines) == 1 and "--matrix" in lines[0] and f"n={n}" in lines[0]
+
+    @pytest.mark.parametrize("document, key", [
+        ({"p": 2, "m": 200, "precision": 32}, "m"),
+        ({"p": 2, "m": 65, "precision": 8}, "m"),
+        ({"p": 2, "m": 2, "precision": 13288}, "precision"),
+        ({"p": "1000003", "m": 2, "precision": "667"}, "precision"),
+    ])
+    def test_matrix_file_field_past_the_cap(self, tmp_path, capsys, document, key):
+        # building the field of m = 200 alone once took 24 s
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dict(document, coeffs=[[["1"]]])))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["correspond", "--matrix", str(path)])
+        assert time.perf_counter() - start < 1
+        assert code == cli.EXIT_BAD_FLAGS
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and str(path) in lines[0] and f" {key} must" in lines[0]
+
+    @pytest.mark.parametrize("document", [
+        {"p": 2, "m": 64, "precision": 8},
+        {"p": 2, "m": 2, "precision": 13287},
+        {"p": 1000003, "m": 2, "precision": 666},
+    ])
+    def test_matrix_file_field_at_the_cap(self, tmp_path, monkeypatch, document):
+        def reached(*args):
+            raise Reached
+        monkeypatch.setattr(padic, "make_field_cached", reached)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dict(document, coeffs=[[["1"]]])))
+        with pytest.raises(Reached):
+            cli.main(["correspond", "--matrix", str(path)])
 
 
 @pytest.mark.parametrize("p", [2, 3, 10 ** 6 + 3])

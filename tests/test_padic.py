@@ -977,6 +977,21 @@ def poly_inputs(draw):
     return a, b, f, mod
 
 
+@st.composite
+def unit_inverse_inputs(draw):
+    """(a, f, p, M): f the modulus of Q_{p^m}, a of degree < m with
+    negative and unreduced coefficients, all of them divisible by p about
+    half the time."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    f = list(make_field_cached(p, draw(st.integers(2, 8)), PREC).modulus)
+    M = draw(st.integers(1, 40))
+    bound = p ** (M + 1)
+    a = draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=len(f) - 1))
+    if draw(st.booleans()):
+        a = [x * p for x in a]
+    return a, f, p, M
+
+
 def _plain_valuation(x):
     """v(x) of a nonzero x from its coefficients by repeated division."""
     p, vals = x.field.p, []
@@ -1095,6 +1110,22 @@ class TestQpScalars:
         for r in (reduced, _poly_mul(a, b), a + b):
             assert _poly_rem(r, f, mod) == _per_term_poly_rem([x % mod for x in r], f, mod)
         assert _poly_mulmod(a, b, f, mod) == _per_term_poly_mulmod(a, b, f, mod)
+
+    @settings(max_examples=400, deadline=None)
+    @given(unit_inverse_inputs())
+    def test_poly_inverse_is_an_inverse(self, inputs):
+        # checked by the per-term product, not against _poly_inverse itself:
+        # a is a unit exactly when some coefficient is prime to p, as f is
+        # irreducible mod p
+        a, f, p, M = inputs
+        mod = p ** M
+        if all(x % p == 0 for x in a):
+            with pytest.raises(ZeroDivisionError):
+                _poly_inverse(a, f, p, M)
+            return
+        z = _poly_inverse(a, f, p, M)
+        assert len(z) < len(f) and all(0 <= x < mod for x in z)
+        assert _per_term_poly_mulmod(a, z, f, mod) == [1]
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(sparse_matrices(), elimination_inputs()), st.permutations(TRANSFORMS))
@@ -1735,3 +1766,34 @@ class TestFindModulus:
         for m in range(2, 9):
             start = 0 if _binomial_may_be_irreducible(p, m) else p
             assert _code(_find_modulus(p, m)[:-1], p) < start + 4 * m, m
+
+
+class TestKernelNormalForms:
+    """Every element that smith_form returns is stored as the elimination
+    holds it, without ``_normal`` again, so each must already be normal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(coarse_matrices(), sparse_matrices(), elimination_inputs()))
+    def test_transforms_and_pivots_are_normal_forms(self, M):
+        try:
+            sf = smith_form(M)
+        except PrecisionError:
+            assume(False)
+        f, r, c = M.field, M.nrows, M.ncols
+        L, Linv, R, Rinv = (getattr(sf, name) for name in TRANSFORMS)
+        for x in itertools.chain(sf.pivots, *L.rows, *Linv.rows, *R.rows, *Rinv.rows):
+            form = (x.coeffs, x.shift, x.abs_precision, x._v)
+            assert padic._normal(f.p, *form[:3]) == form
+        assert (L * Linv).approx_equal(PadicMatrix.identity(f, r))
+        assert (R * Rinv).approx_equal(PadicMatrix.identity(f, c))
+        # every transform entry is integral with a digit; an entry of M of
+        # negative valuation can leave L*M*R none, so D is checked on
+        # integral M, zeros and mixed precisions included
+        if all(x.is_integral() for row in M.rows for x in row):
+            D = L * M * R
+            for i in range(r):
+                for j in range(c):
+                    if i == j and i < sf.rank:
+                        assert D.rows[i][i].approx_equal(sf.pivots[i])
+                    else:
+                        assert D.rows[i][j].is_zero_at_precision()
