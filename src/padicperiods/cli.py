@@ -65,6 +65,10 @@ CORRESPOND_MAX_N = 16
 # correspond prints integers just below p^N (an entry may carry a digit or so
 # more), and CPython's default limit on int-to-str conversion is 4300 digits
 CORRESPOND_MAX_DIGITS = 4000
+_DIGIT_LIMIT = 10 ** CORRESPOND_MAX_DIGITS  # formed once: about 30 us
+# ledger prints h fractions of about h digits each: h = 1000 takes 0.2 s and
+# prints 457 KB, h = 14000 16 s and 88 MB; p^h meets CORRESPOND_MAX_DIGITS too
+LEDGER_MAX_H = 1000
 
 
 def _default_precision():
@@ -126,21 +130,24 @@ def cmd_models(args):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _digits_refusal(p, e, key, name):
+    """One line naming ``key`` when p^e (e called ``name``) reaches
+    10^CORRESPOND_MAX_DIGITS, or None.  p^e is formed only below
+    2^(2 * bits(10^CORRESPOND_MAX_DIGITS)): above that, p^e >=
+    2^(e * (bits(p) - 1)) is already past the cap."""
+    if e > 0 and (e * (p.bit_length() - 1) >= _DIGIT_LIMIT.bit_length()
+                  or p ** e >= _DIGIT_LIMIT):
+        return (f"{key} must keep p^{name} below "
+                f"10^{CORRESPOND_MAX_DIGITS} (got p={p}, {name}={e})")
+    return None
+
+
 def _field_refusal(m, p, precision, m_key, precision_key):
     """The cap that Q_{p^m} at precision N breaks, as one line naming the
-    key, or None.  p^N is formed only below 2^(2 * bits(10^CORRESPOND_MAX_DIGITS)):
-    above that, p^N >= 2^(N * (bits(p) - 1)) is already past the cap."""
+    key, or None."""
     if m > CORRESPOND_MAX_M:
         return f"{m_key} must be <= {CORRESPOND_MAX_M} (got m={m})"
-    limit = 10 ** CORRESPOND_MAX_DIGITS
-    if precision > 0 and (
-        precision * (p.bit_length() - 1) >= limit.bit_length() or p ** precision >= limit
-    ):
-        return (
-            f"{precision_key} must keep p^N below "
-            f"10^{CORRESPOND_MAX_DIGITS} (got p={p}, N={precision})"
-        )
-    return None
+    return _digits_refusal(p, precision, precision_key, "N")
 
 
 def _correspond_refusal(n, m, p, precision):
@@ -267,6 +274,13 @@ def cmd_ledger(args):
         return EXIT_OK if verdict.consistent else EXIT_CHECK_FAILED
     if args.p is None or args.h is None:
         print("ledger: need --p and --h (or --heights)", file=sys.stderr)
+        return EXIT_BAD_FLAGS
+    if args.h > LEDGER_MAX_H:
+        refusal = f"--h must be <= {LEDGER_MAX_H} (got h={args.h})"
+    else:
+        refusal = _digits_refusal(args.p, args.h, "--h", "h")
+    if refusal:
+        print(f"ledger: {refusal}", file=sys.stderr)
         return EXIT_BAD_FLAGS
     try:
         datum = ledger_mod.CMDatum(args.p, args.h, args.i0)

@@ -151,8 +151,6 @@ def check_report(check, inputs, expected, computed):
     def enc(x):
         if isinstance(x, Fraction):
             return _frac_str(x)
-        if isinstance(x, (list, tuple)):
-            return [enc(e) for e in x]
         if isinstance(x, dict):
             return {k: enc(v) for k, v in x.items()}
         return x

@@ -614,8 +614,6 @@ class PadicElement:
         return PadicElement(f, _linear_image(self.coeffs, table), self.shift, self.abs_precision)
 
     def frobenius_iterate(self, k):
-        if not any(self.coeffs[1:]):  # x lies in Q_p, which sigma fixes
-            return self
         x = self
         for _ in range(k % self.field.m):
             x = x.frobenius()
@@ -711,15 +709,13 @@ def _embedding_table(big, gen_coeffs, gen_precision, m):
     return _power_table(list(gen_coeffs), big.modulus, big.p ** gen_precision, m)
 
 
-def embed_element(x: PadicElement, big: FieldDescriptor, gen_image=None):
+def embed_element(x: PadicElement, big: FieldDescriptor, gen_image: PadicElement):
     """Map x = p^-s * sum c_i w^i into ``big`` along a fixed embedding:
     p^-s * sum c_i g^i for the unit g = ``gen_image``, one product with the
     kept table of the g^i mod p^N_g.  c_0 is mapped exactly and c_i g^i is
     known mod p^(N_g + v(c_i)), so the image has precision min(N_x, N_g +
     v(c_i) - s over i >= 1 with c_i != 0), which may exceed big's precision
     as an inverse's may; PrecisionError when it is below 1."""
-    if gen_image is None:
-        gen_image = field_embedding(x.field, big)
     s, Ng, N = x.shift, gen_image.abs_precision, x.abs_precision
     if Ng - s < N:
         N = min([N] + [Ng + _valuation(big.p, [c]) - s for c in x.coeffs[1:] if c])
@@ -774,9 +770,7 @@ class PadicMatrix:
         return PadicMatrix(self.field, list(map(list, zip(*self.rows))))
 
     def __mul__(self, other):
-        if isinstance(other, PadicMatrix):
-            return PadicMatrix(self.field, _product(self.rows, list(zip(*other.rows))))
-        return PadicMatrix(self.field, [[e * other for e in r] for r in self.rows])
+        return PadicMatrix(self.field, _product(self.rows, list(zip(*other.rows))))
 
     def map_frobenius(self, k=1):
         return PadicMatrix(
@@ -822,71 +816,36 @@ class PadicMatrix:
 _INF = float("inf")
 
 
-def _split(v):
-    """(vals, nonzero, zeros, e) of a vector of elements, each flag read once.
-
-    ``vals[t]`` is the entry as (coeffs, shift, N, v), or None when it is
-    zero; ``nonzero`` holds the pairs (t, vals[t]) of the nonzero entries in
-    increasing t; ``zeros`` maps each precision N of a zero entry to the set
-    of its positions; ``e[t]`` is e(x), the valuation of x or N for a zero x.
-    """
-    vals, nonzero, zeros, e = [], [], {}, []
-    for t, x in enumerate(v):
-        if x._v is None:
-            vals.append(None)
-            zeros.setdefault(x.abs_precision, set()).add(t)
-            e.append(x.abs_precision)
-        else:
-            entry = (x.coeffs, x.shift, x.abs_precision, x._v)
-            vals.append(entry)
-            nonzero.append((t, entry))
-            e.append(x._v)
-    return vals, nonzero, zeros, e
-
-
 def _product(rows, cols):
-    """The sums rows[i] . cols[j] for all i, j, multiplying only nonzero pairs.
+    """The sums rows[i] . cols[j] for all i, j.
 
-    Each sum adds the ``_mul_coeffs`` of its nonzero pairs over a common
-    denominator (``_sum``) and is normalized once, at the least product
-    precision (``_product_precision``) of those pairs.  A skipped product is
-    zero, but it still caps the sum at the precision a*b would have had,
-    which for a zero b is N_b + e(a) (as e(a) <= N_a).  ``_normal`` depends
-    only on the value mod p^N and on N, so each entry equals the dense fold
-    of element products in coefficients, shift and precision.
+    Every pair (a_t, b_t) caps its sum at ``_product_precision``, which for
+    a zero b is N_b + e(a), for a zero a N_a + e(b) and for two zeros
+    N_a + N_b.  Only the nonzero pairs are multiplied, in increasing t; their
+    ``_mul_coeffs`` are added over a common denominator (``_sum``) and
+    normalized once, at the cap.  ``_normal`` depends only on the value mod
+    p^N and on N, so each entry equals the dense fold of element products in
+    coefficients, shift and precision.
     """
-    rs = [_split(r) for r in rows]
-    cs = [_split(c) for c in cols]
+    rs = [[(x.coeffs, x.shift, x.abs_precision, x._v) for x in r] for r in rows]
+    cs = [[(x.coeffs, x.shift, x.abs_precision, x._v) for x in c] for c in cols]
     zero_at = {}  # one zero element per cap; elements are never mutated
     out = []
-    for row, (a_vals, a_nonzero, a_zeros, a_e) in zip(rows, rs):
+    for row, a_row in zip(rows, rs):
         f = row[0].field
         out_row = []
-        for b_vals, b_nonzero, b_zeros, b_e in cs:
+        for b_col in cs:
             acc, cap = None, _INF
-            for t, (ac, sa, Na, va) in a_nonzero:
-                b = b_vals[t]
-                if b is not None:
-                    bc, sb, Nb, vb = b
-                    N = _product_precision(Na, va, Nb, vb)
-                    if N < cap:
-                        cap = N
-                    if acc is None:
-                        acc, s = _mul_coeffs(f, ac, bc), sa + sb
-                    else:
-                        acc, s = _sum(f.p, acc, s, _mul_coeffs(f, ac, bc), sa + sb, 1)
-                elif b_e[t] + a_e[t] < cap:  # b is zero: N_b + e(a)
-                    cap = b_e[t] + a_e[t]
-            if a_zeros:
-                for t, b in b_nonzero:
-                    if a_vals[t] is None and a_e[t] + b_e[t] < cap:  # a is zero
-                        cap = a_e[t] + b_e[t]
-                for na, ta in a_zeros.items():  # both are zero: N_a + N_b
-                    for nb, tb in b_zeros.items():
-                        if na + nb < cap and not ta.isdisjoint(tb):
-                            cap = na + nb
-            if cap < 1:
-                raise PrecisionError("product has no significant digits")
+            for (ac, sa, Na, va), (bc, sb, Nb, vb) in zip(a_row, b_col):
+                N = _product_precision(Na, va, Nb, vb)
+                if N < cap:
+                    cap = N
+                if va is None or vb is None:
+                    continue
+                if acc is None:
+                    acc, s = _mul_coeffs(f, ac, bc), sa + sb
+                else:
+                    acc, s = _sum(f.p, acc, s, _mul_coeffs(f, ac, bc), sa + sb, 1)
             if acc is None:
                 if cap not in zero_at:
                     zero_at[cap] = f.zero(cap)

@@ -17,7 +17,6 @@ from .padic import (
     certified_rank,
     embed_element,
     field_embedding,
-    is_exact,
     kernel_basis,
     make_field_cached,
     matrix_to_json,
@@ -162,31 +161,12 @@ def omega_membership(point: ProjectivePoint) -> OmegaVerdict:
     coords = [[((c,), e.shift) for c in e.coeffs] for e in normal]
     if rank_below(_int_divisors(base, coords, N), N) == n:
         return OmegaVerdict("in_Omega")
-    # rank-deficient: extract a left-kernel vector of M as the witness
+    # rank-deficient: L's last row is a left-kernel vector of M, integral and
+    # primitive, since L is built from swaps and integral row operations
+    # (``smith_form``), so det L = +-1
     M = PadicMatrix(base, [[base.from_coeffs([c], N, e.shift) for c in e.coeffs]
                            for e in normal])
-    sf = smith_form(M)
-    witness = list(sf.L.rows[n - 1])
-    witness = _primitive_scale(witness)
-    if witness is None:
-        return OmegaVerdict("indeterminate")
-    return OmegaVerdict("not_in_Omega", witness)
-
-
-def _primitive_scale(vec):
-    """Rescale by a p-power so the vector is integral and primitive."""
-    vals = [x.valuation() for x in vec]
-    exact = [v for v in vals if is_exact(v)]
-    if not exact:
-        return None
-    vmin = min(exact)
-    p = vec[0].field.p
-    if vmin > 0:
-        inv = vec[0].field.from_int(p ** vmin).inverse()
-        return [x * inv for x in vec]
-    if vmin < 0:
-        return [x * (p ** (-vmin)) for x in vec]
-    return vec
+    return OmegaVerdict("not_in_Omega", list(smith_form(M).L.rows[n - 1]))
 
 
 def act(g, d, pm: PeriodMatrix, model: LubinTateModel, embedding_gen=None) -> PeriodMatrix:

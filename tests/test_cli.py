@@ -240,6 +240,24 @@ class TestRejectedInputs:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and "--n" in lines[0] and str(cli.MODELS_MAX_N) in lines[0]
 
+    @pytest.mark.parametrize("p, h", [("2", "1001"), ("2", "50000"), ("3", "10" * 30),
+                                      ("1000003", "667"), ("1000003", "800")])
+    def test_ledger_h_past_the_cap(self, p, h):
+        # refused before any work; --p 2 --h 14000 ran 16 s and printed 88 MB,
+        # and --p 1000003 --h 800 failed on CPython's int-to-str limit
+        proc = run_process(["ledger", "--p", p, "--h", h], timeout=20)
+        assert proc.returncode == cli.EXIT_BAD_FLAGS
+        assert proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and "--h" in lines[0]
+
+    @pytest.mark.parametrize("p, h", [(2, cli.LEDGER_MAX_H), (1000003, 666)])
+    def test_ledger_h_at_the_cap(self, capsys, p, h):
+        # 1000003^666 is the last power of that p below 10^CORRESPOND_MAX_DIGITS
+        code, out, err = run(capsys, ["ledger", "--p", str(p), "--h", str(h)])
+        assert code == cli.EXIT_OK and err == ""
+        assert len(json.loads(out)["y_valuations"]) == h
+
     @pytest.mark.parametrize("n, m", [("1", "1"), ("0", "1"), ("-1", "2")])
     def test_correspond_needs_n_at_least_2(self, n, m):
         proc = run_process(["correspond", "--n", n, "--m", m])
@@ -460,7 +478,9 @@ ARGVS = st.one_of(
     ),
     st.builds(
         lambda p, h, i0: _argv("ledger", "--p", p, "--h", h, "--i0", i0),
-        st.integers(-1, 8), st.integers(-1, 5), st.none() | st.integers(-2, 5),
+        # h past the cap about half the time, where the refusal is immediate
+        st.integers(-1, 8), st.integers(-1, 5) | st.integers(cli.LEDGER_MAX_H + 1, 10 ** 6),
+        st.none() | st.integers(-2, 5),
     ),
     st.builds(
         lambda p, h, D: _argv("formal-group", "--p", p, "--h", h, *(("--D", D) if D is not None else ())),
@@ -487,6 +507,8 @@ class TestContractFuzz:
         assert code in range(6), (argv, code)
         if argv[0] == "correspond":  # exit 2 only for a refused flag
             assert (code == cli.EXIT_BAD_FLAGS) == _correspond_refused(argv), (argv, code)
+        if argv[:2] == ["ledger", "--p"] and int(argv[4]) > cli.LEDGER_MAX_H:
+            assert code == cli.EXIT_BAD_FLAGS, (argv, code)
         lines = out.getvalue().splitlines()
         assert len(lines) <= 1
         if lines:

@@ -4,6 +4,7 @@ what is certified at precision N must survive a lift of the inputs to
 precision 2N with arbitrary extra digits."""
 
 import random
+from fractions import Fraction
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +25,6 @@ from padicperiods.padic import (
 from padicperiods.periods import (
     OmegaVerdict,
     ProjectivePoint,
-    _primitive_scale,
     fil_G,
     omega_membership,
     random_point,
@@ -264,10 +264,37 @@ def _element_omega(point):
     sf = smith_form(PadicMatrix(base, rows))
     if _reference_rank(sf.divisors, N) == n:
         return OmegaVerdict("in_Omega")
-    witness = _primitive_scale(list(sf.L.rows[n - 1]))
-    if witness is None:
-        return OmegaVerdict("indeterminate")
-    return OmegaVerdict("not_in_Omega", witness)
+    return OmegaVerdict("not_in_Omega", list(sf.L.rows[n - 1]))
+
+
+def _p_valuation(x, p):
+    v, a, b = 0, x.numerator, x.denominator
+    while a % p == 0:
+        a, v = a // p, v + 1
+    while b % p == 0:
+        b, v = b // p, v - 1
+    return v
+
+
+def _check_witness(point, witness):
+    """A not_in_Omega witness is integral, has an entry of exact valuation
+    0, and annihilates the normal read at the common precision N: in each
+    Q_p coordinate j the exact sum of w_i * l_ij over the stored
+    representatives has valuation at least min(N, N_w_i + v(l_ij)), the
+    precision that the witness's digits and the normal's carry."""
+    vals = [x.valuation() for x in witness]
+    assert all(v >= 0 for v in vals if is_exact(v))
+    assert 0 in [v for v in vals if is_exact(v)]
+    normal = point.normal
+    p, N = normal[0].field.p, min(e.abs_precision for e in normal)
+    for j in range(normal[0].field.m):
+        total, cap = Fraction(0), N
+        for x, e in zip(witness, normal):
+            lij = Fraction(e.coeffs[j], p ** e.shift)
+            total += Fraction(x.coeffs[0], p ** x.shift) * lij
+            if lij:
+                cap = min(cap, x.abs_precision + _p_valuation(lij, p))
+        assert total == 0 or _p_valuation(total, p) >= cap
 
 
 def _verdict_fields(verdict):
@@ -285,6 +312,8 @@ class TestOmegaMembership:
         point, _ = inputs
         ref = _outcome(_element_omega, point)
         got = _outcome(omega_membership, point)
+        if not isinstance(got, tuple) and got.status == "not_in_Omega":
+            _check_witness(point, got.witness)
         assert _verdict_fields(got) == _verdict_fields(ref)
 
     def test_in_omega_builds_no_element(self, monkeypatch):

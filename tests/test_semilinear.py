@@ -12,6 +12,7 @@ from padicperiods.padic import (
     PadicMatrix,
     PrecisionError,
     charpoly,
+    field_embedding,
     in_base_field,
     is_exact,
     make_field_cached,
@@ -19,6 +20,7 @@ from padicperiods.padic import (
 from padicperiods.semilinear import (
     FilteredIsocrystal,
     Isocrystal,
+    intersection_dim,
     linearize,
     newton_slopes,
     phi_fixed_points,
@@ -177,6 +179,51 @@ class TestAdmissibility:
         S = PadicMatrix.from_ints(Q2, [[1], [0]])
         with pytest.raises(ValueError):
             restrict_frobenius(iso, S)
+
+
+class TestCommonField:
+    """intersection_dim over Q_{p^a} and Q_{p^ab}, either one first: the
+    small matrix is embedded in the big field, so the answer is the one the
+    big matrix was built to have.  B is 3 x 2 of rank 2 with a zero last
+    row; its image is written out from the generator's image g, a root of
+    the small modulus, as sum x_i g^i."""
+
+    @staticmethod
+    def _image(x, big, g):
+        acc, power = big.zero(x.abs_precision), big.one()
+        for c in x.coeffs:
+            acc = acc + big.from_coeffs([c], x.abs_precision, x.shift) * power
+            power = power * g
+        return acc
+
+    @pytest.mark.parametrize("p, a, ab", [(2, 1, 2), (2, 2, 4), (3, 2, 4), (2, 3, 6)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_big_matrix_built_from_the_embedded_small_one(self, p, a, ab, seed):
+        small, big = make_field_cached(p, a, 16), make_field_cached(p, ab, 16)
+        g = field_embedding(small, big)
+        if a > 1:  # the small modulus vanishes at g (Q_p's generator is 1)
+            root = big.zero()
+            for i, c in enumerate(small.modulus):
+                root = root + g ** i * big.from_int(c)
+            assert root.is_zero_at_precision()
+        rng = random.Random(seed)
+        x = small.from_coeffs([rng.randrange(p ** 16) for _ in range(a)])
+        B = PadicMatrix(small, [[small.one(), small.zero()], [x, small.one()],
+                                [small.zero(), small.zero()]])
+        img = [[self._image(e, big, g) for e in row] for row in B.rows]
+        y = [big.from_coeffs([rng.randrange(p ** 16) for _ in range(ab)]) for _ in range(2)]
+        inside = [row[0] * y[0] + row[1] * y[1] for row in img]  # in the span
+        outside = [big.zero(), big.zero(), big.one()]  # off B's zero last row
+        cases = [
+            ([r + [o] for r, o in zip(img, outside)], 2),
+            ([[o] for o in outside], 0),
+            ([[e] for e in inside], 1),
+            ([r + [e] for r, e in zip(img, inside)], 2),
+        ]
+        for rows, expected in cases:
+            A = PadicMatrix(big, rows)
+            assert intersection_dim(A, B) == expected
+            assert intersection_dim(B, A) == expected
 
 
 @st.composite
