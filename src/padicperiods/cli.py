@@ -10,14 +10,15 @@ before its report, 5 integrality assertion failed.
 ``formal-group`` truncates its series at total degree D (``--D``, default
 p^h + p) and refuses a D above 128 with exit 2, since the law's cost grows
 about as D^4.  ``models`` refuses an ``--n`` above 16 with exit 2 before it
-builds a field: its slopes come from an n^2 x n^2 charpoly, and n = 16 takes
-about 2 s and prints 1.6 MB.  ``correspond`` refuses with exit 2, before it
-builds a field, an ``--n`` above 16 (a ``--matrix`` file's n too), an ``--m``
-above 64, and a p^N of more than 4000 digits, N from ``--precision`` or
-``PADIC_PRECISION``: its report prints integers just below p^N, and CPython
-writes an int of at most 4300 digits.  n = 16, m = 64 takes about 5 s.  A
-``--matrix`` file's m and p^precision meet the same caps, read before its
-field is built.
+builds a field: its cost grows about as n^4, since the report prints the
+special model's n^2 x n^2 matrices and its slopes run Berkowitz on their n
+diagonal blocks of size n; n = 16 takes about 0.6 s and prints 1.6 MB.
+``correspond`` refuses with exit 2, before it builds a field, an ``--n``
+above 16 (a ``--matrix`` file's n too), an ``--m`` above 64, and a p^N of
+more than 4000 digits, N from ``--precision`` or ``PADIC_PRECISION``: its
+report prints integers just below p^N, and CPython writes an int of at most
+4300 digits.  n = 16, m = 64 takes about 5 s.  A ``--matrix`` file's m and
+p^precision meet the same caps, read before its field is built.
 
 ``PADIC_PRECISION`` (default 32) is read on every ``main`` call, so an
 in-process caller may change it between calls; the parser is built once per
@@ -56,7 +57,8 @@ EXIT_INTEGRALITY = 5
 
 # formal-group's law costs about D^4: D = 128 takes seconds
 FORMAL_MAX_D = 128
-# models' slopes cost about n^5 (an n^2 x n^2 charpoly): n = 16 takes about 2 s, n = 24 13 s
+# models costs about n^4 (n^2 x n^2 matrices printed, charpoly by n blocks of n):
+# n = 16 takes about 0.6 s, n = 24 2.3 s
 MODELS_MAX_N = 16
 # correspond: building Q_{p^m} takes 0.6 s at m = 64 and 13 s at m = 128; the
 # pipeline takes 0.7 s at n = m = 16 and 7.6 s at n = m = 32 (5 s at n = 16, m = 64)

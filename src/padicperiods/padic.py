@@ -1149,7 +1149,12 @@ def charpoly(M: PadicMatrix):
     integers c_0 mod p^N, N = M.precision.  That is the loop's answer on
     elements exactly: its zero accumulators cap every coefficient at N,
     products of integral elements never fall below N, and Z_p -> Z_{p^m}
-    is a ring map.
+    is a ring map.  On that ring the loop runs once per diagonal block: a
+    symmetric permutation makes A block upper triangular, one block per
+    strongly connected component of i -> j (A[i][j] != 0 mod p^N), so
+    det(tI - A) is the product of the blocks' charpolys in (Z/p^N)[t].
+    The element ring keeps one loop in the dense order, since there a zero
+    is O(p^N) and caps its sums.
     """
     n = M.nrows
     if n != M.ncols:
@@ -1157,12 +1162,66 @@ def charpoly(M: PadicMatrix):
     f = M.field
     N = M.precision
     if in_base_field(M) and all(e.shift == 0 for r in M.rows for e in r):
-        mod = f.p ** N
+        p = f.p
+        mod = p ** N
         pad = (0,) * (f.m - 1)
         A = [[e.coeffs[0] % mod for e in r] for r in M.rows]
-        coeffs = _berkowitz(A, 0, 1, lambda v: [x % mod for x in v])
-        return [PadicElement(f, (c,) + pad, 0, N) for c in coeffs]
+
+        def red(v):
+            return [x % mod for x in v]
+
+        blocks = _strong_blocks(A)
+        if len(blocks) == 1:
+            coeffs = _berkowitz(A, 0, 1, red)
+        else:
+            coeffs = [1]
+            for b in blocks:
+                coeffs = red(_poly_mul(coeffs, _berkowitz([[A[i][j] for j in b] for i in b], 0, 1, red)))
+        return [PadicElement(f, (c,) + pad, 0, N, _valuation(p, (c,))) for c in coeffs]
     return _berkowitz(M.rows, f.zero(N), f.one(N), lambda v: v)
+
+
+def _strong_blocks(A):
+    """The strongly connected components of the graph i -> j, A[i][j] != 0,
+    as sorted index lists: Tarjan's algorithm on an explicit stack of
+    (vertex, successor iterator), since a 256 x 256 matrix would recurse
+    256 deep.  A vertex's index becomes n once its block is emitted, so
+    that it no longer lowers any ``low``."""
+    n = len(A)
+    succ = [[j for j, x in enumerate(row) if x] for row in A]
+    index = [-1] * n
+    low = [0] * n
+    stack, blocks, count = [], [], 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    k = stack.index(v)
+                    block = sorted(stack[k:])
+                    del stack[k:]
+                    for w in block:
+                        index[w] = n
+                    blocks.append(block)
+    return blocks
 
 
 def _berkowitz(A, zero, one, red):

@@ -89,11 +89,20 @@ def newton_slopes(iso: Isocrystal):
         m, B = 1, A
     else:
         m, B = iso.field.m, linearize(iso)
-    coeffs = charpoly(B)
+    return _hull_slopes([c.valuation() for c in charpoly(B)], m)
+
+
+def _hull_slopes(vals, m):
+    """Slopes, ascending, of the lower hull of the exact points (i, vals[i]),
+    each divided by m.  PrecisionError unless vals[0] is exact and every
+    ``AtLeast`` bound lies on or above the hull, the test made by integer
+    cross-multiplication: the hull's value at x between (x1, y1) and
+    (x2, y2) exceeds the bound when y1(x2 - x) + y2(x - x1) > bound(x2 - x1).
+    The hull drops collinear points, so its segments taken right to left
+    already have ascending slopes."""
     pts = []
     unknown = []
-    for i, c in enumerate(coeffs):
-        v = c.valuation()
+    for i, v in enumerate(vals):
         if is_exact(v):
             pts.append((i, v))
         else:
@@ -101,14 +110,20 @@ def newton_slopes(iso: Isocrystal):
     if not pts or pts[0][0] != 0:
         raise PrecisionError("Newton polygon unresolved: constant term indistinguishable from zero")
     hull = _lower_hull(pts)
-    for i, bound in unknown:
-        if _hull_value(hull, i) > bound:
+    for x, bound in unknown:
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+            if x <= x2:
+                above = y1 * (x2 - x) + y2 * (x - x1) > bound * (x2 - x1)
+                break
+        else:
+            above = hull[-1][1] > bound
+        if above:
             raise PrecisionError("precision insufficient to resolve the Newton polygon")
     slopes = []
-    for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
-        s = Fraction(v1 - v2, i2 - i1) / m
-        slopes.extend([s] * (i2 - i1))
-    return sorted(slopes)
+    for k in range(len(hull) - 1, 0, -1):
+        (i1, v1), (i2, v2) = hull[k - 1], hull[k]
+        slopes.extend([Fraction(v1 - v2, (i2 - i1) * m)] * (i2 - i1))
+    return slopes
 
 
 def _lower_hull(pts):
@@ -123,13 +138,6 @@ def _lower_hull(pts):
 def _turns_up(a, b, c):
     # drop b if it lies on or above segment a-c
     return (b[1] - a[1]) * (c[0] - a[0]) >= (c[1] - a[1]) * (b[0] - a[0])
-
-
-def _hull_value(hull, x):
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        if x1 <= x <= x2:
-            return Fraction(y1 * (x2 - x) + y2 * (x - x1), x2 - x1)
-    return Fraction(hull[-1][1])
 
 
 def slopes_to_json(slopes):

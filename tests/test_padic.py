@@ -44,6 +44,7 @@ from padicperiods.padic import (
     _residues,
 )
 from padicperiods import periods
+from padicperiods.models import build_DG
 from padicperiods.periods import (
     ProjectivePoint,
     RankCertificationError,
@@ -1645,6 +1646,108 @@ class TestCharpolyOracle:
         for k, (x, c) in enumerate(zip(got, oracle)):
             assert x.abs_precision >= 1
             assert _agrees_mod(x, Fraction(c) * Fraction(p) ** (k - n), x.abs_precision)
+
+
+@st.composite
+def hidden_block_triangular(draw):
+    """(p, N, A, blocks): an integer matrix, block upper triangular in
+    diagonal blocks of 1-5 (n <= 12), hidden by a random symmetric
+    permutation; ``blocks`` lists each diagonal block's indices in A.  Some
+    entries inside the blocks and above them are zero, some multiples of p^N,
+    and some below them multiples of p^N: zero mod p^N, so no edge."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    N = draw(st.integers(1, 8))
+    sizes = []
+    for size in draw(st.lists(st.integers(1, 5), min_size=1, max_size=12)):
+        if sum(sizes) + size > 12:
+            break
+        sizes.append(size)
+    zero_percent = draw(st.sampled_from([0, 30, 60, 90]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    mod = p ** N
+    owner = [b for b, size in enumerate(sizes) for _ in range(size)]
+    n = len(owner)
+
+    def entry(i, j):
+        if owner[i] > owner[j]:
+            return mod * rng.randint(-2, 2) if rng.random() < 0.2 else 0
+        if rng.randrange(100) < zero_percent:
+            return mod * rng.randint(-2, 2) if rng.random() < 0.3 else 0
+        return rng.randrange(-2 * mod, 2 * mod) * p ** rng.choice([0, 0, 1, 2])
+
+    T = [[entry(i, j) for j in range(n)] for i in range(n)]
+    perm = rng.sample(range(n), n)  # row i of A is row perm[i] of T
+    A = [[T[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    where = {t: i for i, t in enumerate(perm)}
+    starts = [sum(sizes[:b]) for b in range(len(sizes))]
+    blocks = [[where[t] for t in range(s, s + size)] for s, size in zip(starts, sizes)]
+    return p, N, A, blocks
+
+
+class TestBlockSplit:
+    """On the integer ring charpoly multiplies the charpolys of the diagonal
+    blocks of strongly connected components; on the element ring it never
+    splits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(hidden_block_triangular(), st.sampled_from([1, 2]))
+    def test_hidden_blocks_match_the_whole_matrix(self, inputs, m):
+        p, N, A, blocks = inputs
+        n, mod = len(A), p ** N
+        got = charpoly(PadicMatrix.from_ints(make_field_cached(p, m, N), A, N))
+        assert all(x.abs_precision == N and x.shift == 0 for x in got)
+        ints = [x.coeffs[0] for x in got]
+        assert ints == _dense_berkowitz_int(A, mod, n)
+        product = [1]
+        for b in blocks:
+            product = _poly_mul(product, _charpoly_oracle([[A[i][j] for j in b] for i in b]))
+        assert ints == [c % mod for c in product]
+        # the components refine the drawn blocks
+        owner = {i: k for k, b in enumerate(blocks) for i in b}
+        found = padic._strong_blocks([[a % mod for a in row] for row in A])
+        assert sorted(i for b in found for i in b) == list(range(n))
+        assert all(len({owner[i] for i in b}) == 1 for b in found)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_special_model_splits_into_n_cycles(self, n):
+        model = build_DG(n, precision=PREC)
+        M = model.isocrystal(model.field).frob_matrix
+        sizes = []
+        berkowitz = padic._berkowitz
+
+        def spy(A, *rest):
+            sizes.append(len(A))
+            return berkowitz(A, *rest)
+
+        with mock.patch.object(padic, "_berkowitz", spy):
+            got = charpoly(M)
+        assert sizes == [n] * n
+        A = [[x.coeffs[0] for x in row] for row in M.rows]
+        assert [x.coeffs[0] for x in got] == _dense_berkowitz_int(A, 2 ** PREC, n * n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([1, 2]), st.lists(st.integers(1, 3), min_size=2, max_size=3),
+           st.integers(0, 2 ** 32), st.booleans())
+    def test_element_ring_keeps_the_dense_loop(self, m, sizes, seed, shifted):
+        # block diagonal, its zeros O(p^N), one diagonal entry shifted or
+        # (over Q_4) given a w-part: the element loop, never the split
+        f = make_field_cached(2, m, PREC)
+        rng = random.Random(seed)
+        owner = [b for b, size in enumerate(sizes) for _ in range(size)]
+        n = len(owner)
+        precisions = [rng.choice([4, 6, 10]) for _ in range(n)]
+        rows = [[f.from_int(rng.randrange(2 ** 10), precisions[j]) if owner[i] == owner[j]
+                 else f.zero(precisions[j]) for j in range(n)] for i in range(n)]
+        i = rng.randrange(n)
+        if m == 1 or shifted:
+            rows[i][i] = f.from_coeffs([rng.randrange(1, 2 ** 10, 2)], precisions[i], 1)
+        else:
+            rows[i][i] = rows[i][i] + f.generator(precisions[i])
+        M = PadicMatrix(f, rows)
+        with mock.patch.object(padic, "_strong_blocks", side_effect=AssertionError("split")):
+            out = _same_outcome(_element_loop, charpoly, M)
+        if out:
+            assert all(_same_element(x, y) for x, y in zip(*out, strict=True))
 
 
 def _capped_e(value, N, p):

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from padicperiods import semilinear
 from padicperiods.padic import (
+    AtLeast,
     PadicMatrix,
     PrecisionError,
     charpoly,
@@ -371,6 +372,29 @@ def _polygon_slopes(coeffs):
     return slopes
 
 
+def _fraction_hull_slopes(vals, m):
+    """Reference for ``semilinear._hull_slopes``: the hull's value at each
+    AtLeast position as a Fraction, and the slopes sorted."""
+    pts = [(i, v) for i, v in enumerate(vals) if is_exact(v)]
+    if not pts or pts[0][0] != 0:
+        return None
+    hull = semilinear._lower_hull(pts)
+    for x, v in enumerate(vals):
+        if is_exact(v):
+            continue
+        value = Fraction(hull[-1][1])
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+            if x1 <= x <= x2:
+                value = Fraction(y1 * (x2 - x) + y2 * (x - x1), x2 - x1)
+                break
+        if value > v.n:
+            return None
+    slopes = []
+    for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
+        slopes += [Fraction(v1 - v2, i2 - i1) / m] * (i2 - i1)
+    return sorted(slopes)
+
+
 def _starved(m):
     """[[0, 2^-2, 0], [0, 0, 4], [4, 0, 0]] over Q_{2^m} at precision 3, its
     zeros O(2^3): charpoly(A) is -4 + (0 + O(2)) t + (0 + O(2^3)) t^2 + t^3,
@@ -400,6 +424,17 @@ class TestSlopeRoutes:
             return
         lift = _lift(A, rng, w_part)
         assert newton_slopes(Isocrystal(A.field, A.nrows, lift)) == slopes
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 9), st.builds(AtLeast, st.integers(0, 9))),
+                    min_size=1, max_size=10), st.integers(1, 4))
+    def test_integer_hull_matches_fractions(self, vals, m):
+        expected = _fraction_hull_slopes(vals, m)
+        if expected is None:
+            with pytest.raises(PrecisionError):
+                semilinear._hull_slopes(vals, m)
+        else:
+            assert semilinear._hull_slopes(vals, m) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(_slope_operator(False))
