@@ -952,58 +952,6 @@ def _replay(f, n, steps, cols, inverse, one, zero):
     return [[elements[id(e)] for e in row] for row in T]
 
 
-def _refreshable(M, N):
-    """Whether ``smith_form`` recomputes M's work block: M integral, of
-    precision N >= 1, with some entry above N.  Then every product of
-    (L*M)*R keeps a digit, as the transforms are integral with N >= 1."""
-    return N >= 1 and any(e.abs_precision != N for row in M.rows for e in row) and all(
-        e.is_integral() for row in M.rows for e in row)
-
-
-def _refreshed(M, steps, k, one, zero):
-    """Rows and columns k.. of (L*M)*R for the steps so far, as kernel
-    entries, with L and R replayed; None when none of them has a digit."""
-    f = M.field
-    L = _replay(f, M.nrows, steps, False, False, one, zero)
-    R = _replay(f, M.ncols, steps, True, False, one, zero)  # R's columns
-    block = _product(_product(L[k:], list(zip(*M.rows))), R[k:])
-    if all(e._v is None for row in block for e in row):
-        return None
-    return [[(e.coeffs, e.shift, e.abs_precision, e._v) for e in row] for row in block]
-
-
-def _step(f, work, k, best, zero):
-    """One step of ``smith_form`` on the work matrix, in place: the pivot
-    ``best`` = (v, i, j) is swapped to (k, k) and clears its row and column.
-    Returns the pivot, its kept inverse or None, and the step's record."""
-    v, bi, bj = best
-    c = len(work[0])
-    if bi != k:
-        work[k], work[bi] = work[bi], work[k]
-    if bj != k:
-        for row in work:
-            row[k], row[bj] = row[bj], row[k]
-    wk = work[k]
-    pivot, pinv = wk[k], None  # inverted once, and only if an entry needs clearing
-    if any(row[k][3] is not None for row in work[k + 1:]) or any(
-            e[3] is not None for e in wk[k + 1:]):
-        pinv = (*_inverse(f, *pivot), -pivot[3])
-    row_fcts, col_fcts = [], []
-    for wi in work[k + 1:]:
-        fct = (_zero_quotient(zero, wi[k][2] - v) if wi[k][3] is None
-               else _times(f, wi[k], pinv))
-        row_fcts.append(fct)
-        for j in range(k, c):
-            wi[j] = _fused(f, wi[j], fct, wk[j], -1)
-    for j in range(k + 1, c):
-        fct = (_zero_quotient(zero, wk[j][2] - v) if wk[j][3] is None
-               else _times(f, wk[j], pinv))
-        col_fcts.append(fct)
-        for row in work:
-            row[j] = _fused(f, row[j], row[k], fct, -1)
-    return pivot, pinv, (k, bi, bj, row_fcts, col_fcts)
-
-
 def smith_form(M: PadicMatrix) -> SmithForm:
     """Smith-style reduction with minimal-valuation pivoting.
 
@@ -1027,17 +975,6 @@ def smith_form(M: PadicMatrix) -> SmithForm:
     two such entries falls below one digit.  Every PrecisionError is thus
     raised here, where the caller's ``try`` sees it; for an M built with
     entries of precision < 1 the transforms are built here.
-
-    A step rounds once per update, so where M mixes precisions the work
-    block can lose digits that (L*M)*R, whose replayed transforms combine
-    a row's factors first, still certifies: two rows equal mod p^8 but
-    differing by 2^11 + O(2^13) in a column of precision 13 leave that
-    difference in (L*M)*R and O(2^11) in the work.  So where the work block
-    has no digit left, an integral M of mixed precisions has its block
-    recomputed as ``_refreshed``, and elimination goes on if it has one;
-    if a step on it raises, the result is the one from before the refresh.
-    At one precision N every work entry stays at N and no entry of (L*M)*R
-    exceeds it, so there the refresh could show nothing and is not run.
     """
     f = M.field
     r, c = M.nrows, M.ncols
@@ -1046,33 +983,40 @@ def smith_form(M: PadicMatrix) -> SmithForm:
     one = _normal(f.p, [1] + [0] * (f.m - 1), 0, N)
     zero = _normal(f.p, [0] * f.m, 0, N)
     divisors, pivots, inverses, steps = [], [], [], []
-    k, refreshed_at = 0, None
-    while k < min(r, c):
+    for k in range(min(r, c)):
         # the first entry of least valuation, in row-major order
         best = min(((row[j][3], i, j) for i, row in enumerate(work[k:], k)
                     for j in range(k, c) if row[j][3] is not None), default=None)
         if best is None:
-            block = _refreshed(M, steps, k, one, zero) if _refreshable(M, N) else None
-            if block is None:
-                break
-            refreshed_at = k
-            for row, new in zip(work[k:], block):
-                row[k:] = new
-            continue
-        try:
-            pivot, pinv, step = _step(f, work, k, best, zero)
-        except PrecisionError:
-            if refreshed_at is None:
-                raise
-            # a refreshed block that cannot be eliminated is left as it was
-            k = refreshed_at
-            del divisors[k:], pivots[k:], inverses[k:], steps[k:]
             break
-        steps.append(step)
-        divisors.append(best[0])
+        v, bi, bj = best
+        if bi != k:
+            work[k], work[bi] = work[bi], work[k]
+        if bj != k:
+            for row in work:
+                row[k], row[bj] = row[bj], row[k]
+        wk = work[k]
+        pivot, pinv = wk[k], None  # inverted once, and only if an entry needs clearing
+        if any(row[k][3] is not None for row in work[k + 1:]) or any(
+                e[3] is not None for e in wk[k + 1:]):
+            pinv = (*_inverse(f, *pivot), -pivot[3])
+        row_fcts, col_fcts = [], []
+        for wi in work[k + 1:]:
+            fct = (_zero_quotient(zero, wi[k][2] - v) if wi[k][3] is None
+                   else _times(f, wi[k], pinv))
+            row_fcts.append(fct)
+            for j in range(k, c):
+                wi[j] = _fused(f, wi[j], fct, wk[j], -1)
+        for j in range(k + 1, c):
+            fct = (_zero_quotient(zero, wk[j][2] - v) if wk[j][3] is None
+                   else _times(f, wk[j], pinv))
+            col_fcts.append(fct)
+            for row in work:
+                row[j] = _fused(f, row[j], row[k], fct, -1)
+        steps.append((k, bi, bj, row_fcts, col_fcts))
+        divisors.append(v)
         pivots.append(PadicElement(f, *pivot))
         inverses.append(pinv)
-        k += 1
     divisors += [AtLeast(N)] * (min(r, c) - len(divisors))
 
     def build(name):

@@ -1900,43 +1900,3 @@ class TestKernelNormalForms:
                         assert D.rows[i][i].approx_equal(sf.pivots[i])
                     else:
                         assert D.rows[i][j].is_zero_at_precision()
-
-
-def _mixed(p, m, rows):
-    """Integer entries a + O(p^N) over Q_{p^m}, one (a, N) per entry."""
-    f = make_field_cached(p, m, 20)
-    return PadicMatrix(f, [[f.from_coeffs([a] + [0] * (m - 1), N) for a, N in row] for row in rows])
-
-
-class TestRefreshedBlock:
-    """Where M mixes precisions, smith_form recomputes an exhausted work
-    block from the replayed transforms and goes on eliminating."""
-
-    def test_digit_left_in_the_block_becomes_a_pivot(self):
-        # rows 0 and 1 agree mod 2^8 but differ by 2^11 + O(2^13) in column 2
-        M = _mixed(2, 1, [[(2, 8), (0, 10), (2048, 13)], [(2, 8), (0, 10), (0, 13)],
-                          [(0, 8), (0, 10), (0, 17)], [(1, 8), (1, 10), (0, 10)]])
-        sf = smith_form(M)
-        assert sf.divisors == [0, 1, 11]
-        D = sf.L * M * sf.R
-        for i in range(4):
-            for j in range(3):
-                if i == j:
-                    assert D.rows[i][i].approx_equal(sf.pivots[i])
-                else:
-                    assert D.rows[i][j].is_zero_at_precision()
-
-    def test_refreshed_divisor_holds_for_lifts(self):
-        rows = [[(0, 4), (0, 6), (1, 8), (4, 4)], [(4, 6), (4, 4), (0, 10), (0, 6)],
-                [(0, 17), (2, 13), (2, 17), (0, 10)], [(8, 6), (2, 4), (2, 6), (0, 17)]]
-        assert smith_form(_mixed(2, 1, rows)).divisors == [0, 1, 2, 5]
-        rng = random.Random(3)
-        for _ in range(5):
-            lift = [[(a + 2 ** N * rng.randrange(2 ** 10), 20) for a, N in row] for row in rows]
-            assert smith_form(_mixed(2, 1, lift)).divisors == [0, 1, 2, 5]
-
-    def test_block_that_cannot_be_eliminated_is_left(self):
-        # the refreshed block's pivot cannot clear a zero of lower precision
-        M = _mixed(3, 2, [[(0, 6), (0, 8), (1, 6), (0, 4)], [(1, 6), (670, 13), (1, 17), (3, 8)],
-                          [(0, 8), (0, 17), (68, 4), (0, 8)], [(1, 8), (670, 6), (1, 8), (84, 17)]])
-        assert smith_form(M).divisors == [0, 0, AtLeast(4), AtLeast(4)]
