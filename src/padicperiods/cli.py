@@ -5,20 +5,9 @@ formal group, emitting deterministic JSON reports.
 Exit codes: 0 all checks passed, 1 a check failed, 2 bad flags, 3 rank
 certification rejected the input matrix, 4 an indeterminate verdict was
 produced (report still emitted) or a PrecisionError stopped the command
-before its report, 5 integrality assertion failed.
-
-``formal-group`` truncates its series at total degree D (``--D``, default
-p^h + p) and refuses a D above 128 with exit 2, since the law's cost grows
-about as D^4.  ``models`` refuses an ``--n`` above 16 with exit 2 before it
-builds a field: its cost grows about as n^4, since the report prints the
-special model's n^2 x n^2 matrices and its slopes run Berkowitz on their n
-diagonal blocks of size n; n = 16 takes about 0.6 s and prints 1.6 MB.
-``correspond`` refuses with exit 2, before it builds a field, an ``--n``
-above 16 (a ``--matrix`` file's n too), an ``--m`` above 64, and a p^N of
-more than 4000 digits, N from ``--precision`` or ``PADIC_PRECISION``: its
-report prints integers just below p^N, and CPython writes an int of at most
-4300 digits.  n = 16, m = 64 takes about 5 s.  A ``--matrix`` file's m and
-p^precision meet the same caps, read before its field is built.
+before its report, 5 integrality assertion failed.  A command refuses a bad
+flag by raising ``_Refusal``, whose one line ``main`` prints before it
+returns 2; the caps on flags whose cost grows fast are README's cap table.
 
 ``PADIC_PRECISION`` (default 32) is read on every ``main`` call, so an
 in-process caller may change it between calls; the parser is built once per
@@ -93,14 +82,25 @@ def _emit(report, pretty):
     sys.stdout.write(text + "\n")
 
 
+class _Refusal(Exception):
+    """A bad flag, carrying the whole stderr line; not a ValueError, so the
+    ``--matrix`` block's handler lets it through to ``main``."""
+
+
+def _over(key, value, cap):
+    """The line refusing ``key`` past ``cap``, or None."""
+    if value > cap:
+        return f"{key} must be <= {cap} (got {key.lstrip('-')}={value})"
+    return None
+
+
 def cmd_models(args):
     n, p, precision = args.n, args.p, args.precision
-    if n > MODELS_MAX_N:
-        print(f"models: --n must be <= {MODELS_MAX_N} (got n={n})", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+    refusal = _over("--n", n, MODELS_MAX_N)
+    if refusal:
+        raise _Refusal(f"models: {refusal}")
     if not _is_prime(p):
-        print(f"models: --p must be a prime (got p={p})", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+        raise _Refusal(f"models: --p must be a prime (got p={p})")
     dh = models.build_DH(n, precision=precision, base_p=p)
     dg = models.build_DG(n, precision=precision, base_p=p)
     delta = models.delta_matrix(n, precision=precision, base_p=p)
@@ -144,21 +144,6 @@ def _digits_refusal(p, e, key, name):
     return None
 
 
-def _field_refusal(m, p, precision, m_key, precision_key):
-    """The cap that Q_{p^m} at precision N breaks, as one line naming the
-    key, or None."""
-    if m > CORRESPOND_MAX_M:
-        return f"{m_key} must be <= {CORRESPOND_MAX_M} (got m={m})"
-    return _digits_refusal(p, precision, precision_key, "N")
-
-
-def _correspond_refusal(n, m, p, precision):
-    """The cap a sampled correspond run breaks, as one line, or None."""
-    if n > CORRESPOND_MAX_N:
-        return f"--n must be <= {CORRESPOND_MAX_N} (got n={n})"
-    return _field_refusal(m, p, precision, "--m", "--precision (or PADIC_PRECISION)")
-
-
 def _matrix_file_refusal(doc):
     """The cap that a --matrix document's field breaks, read from its p, m
     and precision before the field is built; a document without those as
@@ -167,7 +152,7 @@ def _matrix_file_refusal(doc):
         p, m, N = (_json_int(doc[k], k) for k in ("p", "m", "precision"))
     except (KeyError, TypeError, ValueError):
         return None
-    return _field_refusal(m, p, N, "m", "precision")
+    return _over("m", m, CORRESPOND_MAX_M) or _digits_refusal(p, N, "precision", "N")
 
 
 def cmd_correspond(args):
@@ -184,15 +169,12 @@ def cmd_correspond(args):
             X = matrix_from_json(doc)
             if X.nrows != X.ncols or X.nrows < 2:
                 raise ValueError(f"need an n x n matrix, n >= 2 (got {X.nrows}x{X.ncols})")
+            refusal = _over("n", X.nrows, CORRESPOND_MAX_N)
+            if refusal:
+                raise ValueError(refusal)
         except (OSError, ValueError) as exc:
-            print(f"correspond: --matrix {args.matrix}: {exc}", file=sys.stderr)
-            return EXIT_BAD_FLAGS
-        n = X.nrows
-        if n > CORRESPOND_MAX_N:
-            print(f"correspond: --matrix {args.matrix}: n must be <= {CORRESPOND_MAX_N} "
-                  f"(got n={n})", file=sys.stderr)
-            return EXIT_BAD_FLAGS
-        report["n"] = n
+            raise _Refusal(f"correspond: --matrix {args.matrix}: {exc}")
+        report["n"] = n = X.nrows
         report["source"] = {"matrix": args.matrix}
         try:
             pm = periods.from_matrix(X)
@@ -204,23 +186,17 @@ def cmd_correspond(args):
     else:
         m = args.m
         if m is None or n is None:
-            print("correspond: need --n and --m (or --matrix)", file=sys.stderr)
-            return EXIT_BAD_FLAGS
+            raise _Refusal("correspond: need --n and --m (or --matrix)")
         if n < 2:
-            print(f"correspond: need --n >= 2 (got n={n})", file=sys.stderr)
-            return EXIT_BAD_FLAGS
+            raise _Refusal(f"correspond: need --n >= 2 (got n={n})")
         if m < n:
-            print(
+            raise _Refusal(
                 f"correspond: field too small, need m >= n (got m={m}, n={n}); "
-                "a hyperplane over a degree-m field meets a rational vector "
-                "whenever m < n",
-                file=sys.stderr,
-            )
-            return EXIT_BAD_FLAGS
-        refusal = _correspond_refusal(n, m, args.p, precision)
+                "a hyperplane over a degree-m field meets a rational vector whenever m < n")
+        refusal = (_over("--n", n, CORRESPOND_MAX_N) or _over("--m", m, CORRESPOND_MAX_M)
+                   or _digits_refusal(args.p, precision, "--precision (or PADIC_PRECISION)", "N"))
         if refusal:
-            print(f"correspond: {refusal}", file=sys.stderr)
-            return EXIT_BAD_FLAGS
+            raise _Refusal(f"correspond: {refusal}")
         report["source"] = {"seed": args.seed, "m": m}
         K = make_field_cached(args.p, m, precision)
         pm = periods.random_point(n, K, args.seed)
@@ -256,14 +232,12 @@ def cmd_ledger(args):
         try:
             n, ht_h, ht_g, ht_d = (int(x) for x in args.heights.split(","))
         except ValueError:
-            print("ledger: --heights expects n,htH,htG,htDelta", file=sys.stderr)
-            return EXIT_BAD_FLAGS
+            raise _Refusal("ledger: --heights expects n,htH,htG,htDelta")
         try:
             led = ledger_mod.HeightLedger(n, ht_h, ht_g, ht_d)
             verdict = ledger_mod.height_transfer(led)
         except ValueError as exc:
-            print(f"ledger: --heights: {exc}", file=sys.stderr)
-            return EXIT_BAD_FLAGS
+            raise _Refusal(f"ledger: --heights: {exc}")
         report = {
             "command": "ledger",
             "heights": {"n": n, "ht_rho_H": ht_h, "ht_rho_G": ht_g, "ht_Delta": ht_d},
@@ -275,20 +249,14 @@ def cmd_ledger(args):
         _emit(report, args.pretty)
         return EXIT_OK if verdict.consistent else EXIT_CHECK_FAILED
     if args.p is None or args.h is None:
-        print("ledger: need --p and --h (or --heights)", file=sys.stderr)
-        return EXIT_BAD_FLAGS
-    if args.h > LEDGER_MAX_H:
-        refusal = f"--h must be <= {LEDGER_MAX_H} (got h={args.h})"
-    else:
-        refusal = _digits_refusal(args.p, args.h, "--h", "h")
+        raise _Refusal("ledger: need --p and --h (or --heights)")
+    refusal = _over("--h", args.h, LEDGER_MAX_H) or _digits_refusal(args.p, args.h, "--h", "h")
     if refusal:
-        print(f"ledger: {refusal}", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+        raise _Refusal(f"ledger: {refusal}")
     try:
         datum = ledger_mod.CMDatum(args.p, args.h, args.i0)
     except ValueError as exc:
-        print(f"ledger: {exc}", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+        raise _Refusal(f"ledger: {exc}")
     inputs = {"p": args.p, "h": args.h, "i0": args.i0}
     checks = [
         ledger_mod.check_report(name, inputs, expected, computed)
@@ -312,23 +280,21 @@ def cmd_ledger(args):
 def cmd_formal_group(args):
     p, h, D = args.p, args.h, args.D
     if p < 2 or h < 1:
-        print(f"formal-group: need --p >= 2 and --h >= 1 (got p={p}, h={h})", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+        raise _Refusal(f"formal-group: need --p >= 2 and --h >= 1 (got p={p}, h={h})")
     if not _is_prime(p):
-        print(f"formal-group: --p must be a prime (got p={p})", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+        raise _Refusal(f"formal-group: --p must be a prime (got p={p})")
     # from h = 8 on p^h >= 2^8 > FORMAL_MAX_D, so no D fits; p^h is not formed
     q = p ** h if h < 8 else None
     if D is None and q is not None:
         D = q + p
-    if D is None or D > FORMAL_MAX_D:
-        got = f"D={D}" if D is not None else f"the default p^h + p with h={h}"
-        print(f"formal-group: --D must be <= {FORMAL_MAX_D} (got {got})", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+    if D is None:
+        raise _Refusal(f"formal-group: --D must be <= {FORMAL_MAX_D} "
+                       f"(got the default p^h + p with h={h})")
+    refusal = _over("--D", D, FORMAL_MAX_D)
+    if refusal:
+        raise _Refusal(f"formal-group: {refusal}")
     if q is None or D < q:
-        bound = "p^h" if q is None else f"p^h = {q}"
-        print(f"formal-group: D must be >= {bound}", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+        raise _Refusal(f"formal-group: D must be >= {'p^h' if q is None else f'p^h = {q}'}")
     try:
         fgl = formal.group_law(p, h, D)
         height, ps = formal.height_certificate(fgl)
@@ -410,6 +376,9 @@ def main(argv=None):
         args.precision = precision
     try:
         return args.func(args)
+    except _Refusal as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_BAD_FLAGS
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FLAGS

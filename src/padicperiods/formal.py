@@ -187,15 +187,6 @@ class FormalGroupLaw:
     log: PowerSeriesTrunc
     exp: PowerSeriesTrunc  # reversion of log
 
-    def to_json(self):
-        return {
-            "p": self.p,
-            "h": self.h,
-            "D": self.D,
-            "law": self.law.to_json(),
-            "log": self.log.to_json(),
-        }
-
 
 class IntegralityError(ArithmeticError):
     """A group-law coefficient fell outside Z_p — signals a bug upstream."""

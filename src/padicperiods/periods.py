@@ -107,10 +107,8 @@ def fil_G(pm: PeriodMatrix) -> ProjectivePoint:
 
 
 def fil_H(pm: PeriodMatrix) -> ProjectivePoint:
-    """Row space of X with the right-kernel covector."""
-    sf = pm.smith
-    basis = PadicMatrix(pm.field, sf.Rinv.rows[: pm.n - 1]).transpose()
-    return ProjectivePoint(basis, [row[pm.n - 1] for row in sf.R.rows])
+    """Row space of X with the right-kernel covector: fil_G of X^T."""
+    return fil_G(correspond(pm))
 
 
 def correspond(pm: PeriodMatrix) -> PeriodMatrix:
@@ -253,10 +251,7 @@ def random_point(n, field: FieldDescriptor, seed, max_tries=200) -> PeriodMatrix
         C = PadicMatrix.from_ints(
             field, [[rng.randrange(field.p ** N) for _ in range(n)] for _ in range(n - 1)]
         )
-        rank_c, _ = certified_rank(C)
-        if rank_c < n - 1:
-            continue
-        X = B * C
+        X = B * C  # divisors at least C's: from_matrix rejects a C of rank < n - 1
         try:
             pm = from_matrix(X)
         except (RankCertificationError, PrecisionError):

@@ -21,11 +21,12 @@ from .padic import (
     PrecisionError,
     charpoly,
     certified_rank,
+    embed_element,
+    field_embedding,
     in_base_field,
     is_exact,
     kernel_basis,
     make_field_cached,
-    matrix_to_json,
     smith_form,
 )
 
@@ -45,19 +46,11 @@ class Isocrystal:
         col = PadicMatrix(self.field, [[x] for x in vec]).map_frobenius()
         return [row[0] for row in (self.frob_matrix * col).rows]
 
-    def to_json(self):
-        return {
-            "field": {"p": self.field.p, "m": self.field.m},
-            "dim": self.dim,
-            "frob_matrix": matrix_to_json(self.frob_matrix),
-        }
-
 
 @dataclass
 class FilteredIsocrystal:
     base: Isocrystal
     filtration: PadicMatrix  # columns span Fil inside K^dim, K an extension field
-    hodge_type: int = 1  # codimension of the filtration
 
     def __post_init__(self):
         rank, _ = certified_rank(self.filtration)
@@ -158,7 +151,7 @@ def phi_fixed_points(iso: Isocrystal, twist=0):
     f = iso.field
     n, m = iso.dim, f.m
     N = iso.frob_matrix.precision
-    gen = f.generator(N) if m > 1 else f.one(N)
+    gen = f.generator(N)
     powers = [gen ** k for k in range(m)]
     # column j*m + k is g^k e_j; its image under v -> A*sigma(v) - p^twist*v
     # is a column of the big Q_p-linear matrix
@@ -275,8 +268,6 @@ def intersection_dim(A: PadicMatrix, B: PadicMatrix) -> int:
 
 
 def _common_field(A, B):
-    from .padic import embed_element, field_embedding
-
     if A.field == B.field:
         return A, B
     if B.field.m % A.field.m == 0:

@@ -391,6 +391,118 @@ def test_correspond_at_the_digit_cap_prints(capsys, p):
     assert json.loads(out)["precision"] == N
 
 
+# Every refusal line, byte for byte: the command's argv (after an optional
+# PADIC_PRECISION=value), then its one stderr line; each exits 2 with no
+# stdout.  {dir} stands for the directory holding REFUSAL_DOCUMENTS.
+REFUSALS = [
+    ("models --n 17",
+     "models: --n must be <= 16 (got n=17)"),
+    ("models --n 1000000",
+     "models: --n must be <= 16 (got n=1000000)"),
+    ("correspond --n 17 --m 17",
+     "correspond: --n must be <= 16 (got n=17)"),
+    ("correspond --n 2 --m 65",
+     "correspond: --m must be <= 64 (got m=65)"),
+    ("correspond --n 2 --m 2 --precision 13288",
+     "correspond: --precision (or PADIC_PRECISION) must keep p^N below 10^4000 (got p=2, N=13288)"),
+    ("correspond --n 2 --m 2 --p 1000003 --precision 667",
+     "correspond: --precision (or PADIC_PRECISION) must keep p^N below 10^4000 (got p=1000003, N=667)"),
+    ("correspond --n 2 --m 2 --p 2305843009213693951 --precision 1000000",
+     "correspond: --precision (or PADIC_PRECISION) must keep p^N below 10^4000 (got p=2305843009213693951, N=1000000)"),
+    ("PADIC_PRECISION=20000 correspond --n 2 --m 2",
+     "correspond: --precision (or PADIC_PRECISION) must keep p^N below 10^4000 (got p=2, N=20000)"),
+    ("ledger --p 2 --h 1001",
+     "ledger: --h must be <= 1000 (got h=1001)"),
+    ("ledger --p 1000003 --h 667",
+     "ledger: --h must keep p^h below 10^4000 (got p=1000003, h=667)"),
+    ("ledger --p 3 --h 101010101010101010101010101010101010101010101010101010101010",
+     "ledger: --h must be <= 1000 (got h=101010101010101010101010101010101010101010101010101010101010)"),
+    ("formal-group --p 2 --h 1 --D 129",
+     "formal-group: --D must be <= 128 (got D=129)"),
+    ("formal-group --p 2 --h 7",
+     "formal-group: --D must be <= 128 (got D=130)"),
+    ("formal-group --p 2 --h 8",
+     "formal-group: --D must be <= 128 (got the default p^h + p with h=8)"),
+    ("models --n 2 --p 4",
+     "models: --p must be a prime (got p=4)"),
+    ("models --n 2 --p 3317044064679887385961981",
+     "error: 3317044064679887385961981 is too large to test for primality (limit 3.3e24)"),
+    ("PADIC_PRECISION=abc models --n 1",
+     "error: PADIC_PRECISION must be an integer >= 1 (got 'abc')"),
+    ("correspond --n 2",
+     "correspond: need --n and --m (or --matrix)"),
+    ("correspond --m 2",
+     "correspond: need --n and --m (or --matrix)"),
+    ("correspond --n 1 --m 1",
+     "correspond: need --n >= 2 (got n=1)"),
+    ("correspond --n 3 --m 2",
+     "correspond: field too small, need m >= n (got m=2, n=3); a hyperplane over a degree-m field meets a rational vector whenever m < n"),
+    ("correspond --n 2 --m 2 --p 4",
+     "error: 4 is not prime"),
+    ("ledger",
+     "ledger: need --p and --h (or --heights)"),
+    ("ledger --heights 1,2",
+     "ledger: --heights expects n,htH,htG,htDelta"),
+    ("ledger --heights 0,1,1,0",
+     "ledger: --heights: n must be >= 1 (got n=0)"),
+    ("ledger --heights 2,3,6,5",
+     "ledger: --heights: transfer requires ht_Delta = n(n-1)/2 = 1"),
+    ("ledger --p 1 --h 1",
+     "ledger: 1 is not prime"),
+    ("ledger --p 4 --h 2",
+     "ledger: 4 is not prime"),
+    ("formal-group --p 1 --h 1",
+     "formal-group: need --p >= 2 and --h >= 1 (got p=1, h=1)"),
+    ("formal-group --p 2 --h 0",
+     "formal-group: need --p >= 2 and --h >= 1 (got p=2, h=0)"),
+    ("formal-group --p 4 --h 1",
+     "formal-group: --p must be a prime (got p=4)"),
+    ("formal-group --p 2 --h 2 --D 3",
+     "formal-group: D must be >= p^h = 4"),
+    ("formal-group --p 3 --h 20 --D 100",
+     "formal-group: D must be >= p^h"),
+    ("correspond --matrix {dir}/missing.json",
+     "correspond: --matrix {dir}/missing.json: [Errno 2] No such file or directory: '{dir}/missing.json'"),
+    ("correspond --matrix {dir}/m200.json",
+     "correspond: --matrix {dir}/m200.json: m must be <= 64 (got m=200)"),
+    ("correspond --matrix {dir}/m65.json",
+     "correspond: --matrix {dir}/m65.json: m must be <= 64 (got m=65)"),
+    ("correspond --matrix {dir}/n17.json",
+     "correspond: --matrix {dir}/n17.json: n must be <= 16 (got n=17)"),
+    ("correspond --matrix {dir}/precision20000.json",
+     "correspond: --matrix {dir}/precision20000.json: precision must keep p^N below 10^4000 (got p=2, N=20000)"),
+    ("correspond --matrix {dir}/p1000003.json",
+     "correspond: --matrix {dir}/p1000003.json: precision must keep p^N below 10^4000 (got p=1000003, N=667)"),
+    ("correspond --matrix {dir}/1x2.json",
+     "correspond: --matrix {dir}/1x2.json: need an n x n matrix, n >= 2 (got 1x2)"),
+    ("correspond --matrix {dir}/p-not-an-integer.json",
+     "correspond: --matrix {dir}/p-not-an-integer.json: invalid literal for int() with base 10: 'two'"),
+]
+
+_Q2 = make_field_cached(2, 1, 8)
+REFUSAL_DOCUMENTS = {
+    "m200.json": {"p": 2, "m": 200, "precision": 32, "coeffs": [[["1"]]]},
+    "m65.json": {"p": 2, "m": 65, "precision": 8, "coeffs": [[["1"]]]},
+    "n17.json": matrix_to_json(PadicMatrix.identity(_Q2, 17)),
+    "precision20000.json": {"p": 2, "m": 2, "precision": 20000, "coeffs": [[["1"]]]},
+    "p1000003.json": {"p": "1000003", "m": 2, "precision": "667", "coeffs": [[["1"]]]},
+    "1x2.json": matrix_to_json(PadicMatrix.from_ints(_Q2, [[1, 1]])),
+    "p-not-an-integer.json": {"p": "two", "m": 1, "precision": 8, "coeffs": [[["1"]]]},
+}
+
+
+@pytest.mark.parametrize("command, line", REFUSALS, ids=[c for c, _ in REFUSALS])
+def test_refusal_line(tmp_path, capsys, monkeypatch, command, line):
+    monkeypatch.delenv("PADIC_PRECISION", raising=False)
+    argv = command.replace("{dir}", str(tmp_path)).split()
+    if argv[0].startswith("PADIC_PRECISION="):
+        monkeypatch.setenv("PADIC_PRECISION", argv.pop(0).partition("=")[2])
+    for name, document in REFUSAL_DOCUMENTS.items():
+        (tmp_path / name).write_text(json.dumps(document))
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (cli.EXIT_BAD_FLAGS, "", line.replace("{dir}", str(tmp_path)) + "\n")
+
+
 def _q4_document():
     return matrix_to_json(PadicMatrix.from_ints(make_field_cached(2, 2, 16), [[1, 1], [1, 1]]))
 
@@ -673,3 +785,25 @@ class TestStoredModelsDigests:
         code, out, _ = run(capsys, case["argv"])
         assert code == case["exit"]
         assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
+CLI_SWEEP = Path(__file__).with_name("cli_sweep.tsv")
+
+
+def test_sweep_matches_the_stored_lines(monkeypatch):
+    """``tools/cli_sweep.py``'s 216 argvs, run in-process: each exits with
+    its stored code and writes the stored stdout and stderr bytes.  The
+    file is the tool's output (``python tools/cli_sweep.py >
+    tests/cli_sweep.tsv``), made in fresh interpreters."""
+    monkeypatch.delenv("PADIC_PRECISION", raising=False)
+    stored = CLI_SWEEP.read_text().splitlines()
+    lines = []
+    for entry in stored:
+        argv = entry.split("\t")[0].split()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        digests = [hashlib.sha256(f.getvalue().encode()).hexdigest() for f in (out, err)]
+        lines.append("\t".join([" ".join(argv), str(code), *digests]))
+    assert len(stored) == 216
+    assert lines == stored

@@ -4,6 +4,7 @@ correspondence, hyperplane-complement membership, and the two-sided action."""
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from padicperiods import periods
 from padicperiods.padic import (
@@ -13,6 +14,7 @@ from padicperiods.padic import (
     certified_rank,
     embed_element,
     field_embedding,
+    kernel_basis,
     make_field_cached,
     matrix_to_json,
 )
@@ -133,6 +135,15 @@ class TestCorrespond:
             pt = correspond(pm)
             assert subspaces_equal(fil_G(pt), fil_H(pm))
             assert subspaces_equal(fil_H(pt), fil_G(pm))
+
+    def test_fil_H_reads_R_and_Rinv(self):
+        # fil_G of the transpose is Rinv's first n - 1 rows, transposed, and
+        # R's last column: the very elements of pm's own Smith form
+        pm = random_point(3, make_field_cached(2, 3, 24), seed=1)
+        point, sf = fil_H(pm), pm.smith
+        assert all(a is b for a, b in zip(point.normal, [row[2] for row in sf.R.rows]))
+        assert all(a is b for row, rinv_row in zip(zip(*point.basis.rows), sf.Rinv.rows[:2])
+                   for a, b in zip(row, rinv_row))
 
     def test_symmetric_fixed_point(self, symmetric_point):
         pt = correspond(symmetric_point)
@@ -322,6 +333,38 @@ class TestRandomPoint:
         assert rejected
         assert certified_rank(pm.X)[0] == 1
         assert omega_membership(fil_G(pm)).in_omega
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sampler_product_keeps_a_rank_deficient_c_out(data):
+    """random_point draws X = B * C with B a kernel basis of a normal, so B
+    is saturated and X's divisors are at least C's: a C of certified rank
+    below n - 1 makes from_matrix reject X, and the sampler needs no rank
+    check of C."""
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    n = data.draw(st.integers(2, 4), label="n")
+    N = data.draw(st.integers(1, 8), label="N")
+    K = make_field_cached(p, n, N)
+    digits = st.lists(st.integers(0, p ** N - 1), min_size=n, max_size=n)
+    normal = [K.from_coeffs(data.draw(digits), N) for _ in range(n)]
+    kernel = kernel_basis(PadicMatrix(K, [normal]))
+    assume(len(kernel) == n - 1)
+    B = PadicMatrix(K, kernel).transpose()
+    rows = [data.draw(digits) for _ in range(n - 1)]
+    i = data.draw(st.integers(0, n - 2), label="deficient row")
+    j = data.draw(st.integers(0, n - 2), label="copied row")
+    if i == j:
+        rows[i] = [0] * n
+    else:
+        c = data.draw(st.integers(0, p ** N), label="factor")
+        rows[i] = [c * x for x in rows[j]]
+    C = PadicMatrix.from_ints(K, rows)
+    assert certified_rank(C)[0] < n - 1
+    with pytest.raises((RankCertificationError, PrecisionError)) as exc:
+        from_matrix(B * C)
+    if exc.type is RankCertificationError:
+        assert exc.value.kind == "rank_deficient"
 
 
 def _k_path_act(g, d, pm, model, gen):

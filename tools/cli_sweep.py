@@ -10,6 +10,12 @@ exits alike and prints the same bytes:
 
 The argument is the directory that holds the ``padicperiods`` package; it
 defaults to this checkout's ``src``.  Each argv runs in a fresh interpreter.
+
+``tests/cli_sweep.tsv`` holds this output for the current CLI: a tier-1
+test runs the same argvs in-process against it, and CI diffs a fresh run
+with it.  A change that means to alter the CLI's output regenerates it:
+
+    python tools/cli_sweep.py > tests/cli_sweep.tsv
 """
 
 import hashlib
