@@ -121,7 +121,7 @@ def cmd_models(args):
             ),
         },
     }
-    expected = f"1/{n}" if n > 1 else "1/1"
+    expected = f"1/{n}"
     ok = (
         report["slopes"]["height_n_model"] == [expected] * n
         and report["slopes"]["special_model"] == [expected] * (n * n)
@@ -145,14 +145,17 @@ def _digits_refusal(p, e, key, name):
 
 
 def _matrix_file_refusal(doc):
-    """The cap that a --matrix document's field breaks, read from its p, m
-    and precision before the field is built; a document without those as
-    integers is left to ``matrix_from_json``."""
+    """The cap that a --matrix document breaks, read from its p, m,
+    precision and number of rows n before the field or any entry is built;
+    a document without those as integers is left to ``matrix_from_json``."""
     try:
         p, m, N = (_json_int(doc[k], k) for k in ("p", "m", "precision"))
     except (KeyError, TypeError, ValueError):
         return None
-    return _over("m", m, CORRESPOND_MAX_M) or _digits_refusal(p, N, "precision", "N")
+    rows = doc.get("coeffs")
+    n = len(rows) if isinstance(rows, list) else 0
+    return (_over("m", m, CORRESPOND_MAX_M) or _digits_refusal(p, N, "precision", "N")
+            or _over("n", n, CORRESPOND_MAX_N))
 
 
 def cmd_correspond(args):
@@ -169,9 +172,6 @@ def cmd_correspond(args):
             X = matrix_from_json(doc)
             if X.nrows != X.ncols or X.nrows < 2:
                 raise ValueError(f"need an n x n matrix, n >= 2 (got {X.nrows}x{X.ncols})")
-            refusal = _over("n", X.nrows, CORRESPOND_MAX_N)
-            if refusal:
-                raise ValueError(refusal)
         except (OSError, ValueError) as exc:
             raise _Refusal(f"correspond: --matrix {args.matrix}: {exc}")
         report["n"] = n = X.nrows

@@ -11,8 +11,9 @@ the working precision; that ambiguity is always surfaced, never coerced.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Callable, NamedTuple, Union
 
 
@@ -267,21 +268,6 @@ class FieldDescriptor:
         if min_precision <= self.precision:
             return list(self.frobenius_image)
         return _frobenius_image(self.p, list(self.modulus), min_precision)
-
-    def frobenius_table(self, min_precision):
-        """The table of sigma: sigma(w)^j for j < m, modulo (modulus, p^P)
-        with P = max(min_precision, precision).  The table at the field's
-        precision is built on first use and kept; one above it is built from
-        ``frobenius_poly`` on each call."""
-        if min_precision <= self.precision:
-            return self._frobenius_table
-        return _power_table(self.frobenius_poly(min_precision), self.modulus,
-                            self.p ** min_precision, self.m)
-
-    @cached_property
-    def _frobenius_table(self):
-        return _power_table(list(self.frobenius_image), self.modulus,
-                            self.p ** self.precision, self.m)
 
     @cached_property
     def powers(self):
@@ -606,11 +592,12 @@ class PadicElement:
 
     def frobenius(self):
         """The lift of x -> x^p; a Q_p-linear ring automorphism of order m,
-        applied to the coefficients as one product with the field's table."""
+        applied to the coefficients as one product with its kept table."""
         f = self.field
         if not any(self.coeffs[1:]):  # x lies in Q_p, which sigma fixes
             return self
-        table = f.frobenius_table(self.abs_precision + self.shift)
+        P = max(self.abs_precision + self.shift, f.precision)
+        table = _map_table(f, tuple(f.frobenius_poly(P)), P, f.m)
         return PadicElement(f, _linear_image(self.coeffs, table), self.shift, self.abs_precision)
 
     def frobenius_iterate(self, k):
@@ -643,14 +630,9 @@ class PadicElement:
         return f"{pre}{body}{post} + O({f.p}^{self.abs_precision})"
 
 
-_FIELD_CACHE = {}
-
-
+@cache
 def make_field_cached(p, m, precision):
-    key = (p, m, precision)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = make_field(p, m, precision)
-    return _FIELD_CACHE[key]
+    return make_field(p, m, precision)
 
 
 def teichmueller(field: FieldDescriptor, residue_coeffs, precision=None):
@@ -671,7 +653,7 @@ def teichmueller(field: FieldDescriptor, residue_coeffs, precision=None):
     q = p ** m
     cur = x
     for _ in range(N + 1):
-        nxt = _poly_powmod(cur, q, list(field.modulus), mod) if m > 1 else [pow(cur[0], q, mod)]
+        nxt = _poly_powmod(cur, q, list(field.modulus), mod)
         nxt = nxt + [0] * (m - len(nxt))
         if nxt == cur:
             break
@@ -704,9 +686,11 @@ def field_embedding(sub: FieldDescriptor, big: FieldDescriptor):
 
 
 @lru_cache(maxsize=64)
-def _embedding_table(big, gen_coeffs, gen_precision, m):
-    """The table of w^i -> g^i, i < m, modulo (big modulus, p^N_g)."""
-    return _power_table(list(gen_coeffs), big.modulus, big.p ** gen_precision, m)
+def _map_table(field, image_coeffs, P, m):
+    """The table of the Q_p-linear ring map w^i -> y^i, i < m, into
+    ``field``, y = image_coeffs, modulo (field modulus, p^P): sigma, with y
+    = sigma(w), or an embedding, with y the image of the subfield's w."""
+    return _power_table(list(image_coeffs), field.modulus, field.p ** P, m)
 
 
 def embed_element(x: PadicElement, big: FieldDescriptor, gen_image: PadicElement):
@@ -721,7 +705,7 @@ def embed_element(x: PadicElement, big: FieldDescriptor, gen_image: PadicElement
         N = min([N] + [Ng + _valuation(big.p, [c]) - s for c in x.coeffs[1:] if c])
     if N < 1:
         raise PrecisionError("embedding has no significant digits")
-    table = _embedding_table(big, gen_image.coeffs, Ng, x.field.m)
+    table = _map_table(big, gen_image.coeffs, Ng, x.field.m)
     return PadicElement(big, _linear_image(x.coeffs, table), s, N)
 
 
@@ -788,9 +772,6 @@ class PadicMatrix:
         return "PadicMatrix([\n  " + ",\n  ".join(str(r) for r in self.rows) + "\n])"
 
     # -- elimination ------------------------------------------------------
-
-    def smith_form(self):
-        return smith_form(self)
 
     def inverse(self):
         n = self.nrows
@@ -1277,10 +1258,10 @@ def matrix_to_json(M: PadicMatrix):
 
 
 def _json_int(x, what):
-    """An int written as a JSON number or a decimal string."""
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise ValueError(f"{what} must be an integer (got {x!r})")
-    return int(x)
+    """An int written as a JSON number or an ASCII decimal string."""
+    if type(x) is int or isinstance(x, str) and re.fullmatch("-?[0-9]+", x):
+        return int(x)
+    raise ValueError(f"{what} must be an integer (got {x!r})")
 
 
 def matrix_from_json(d):

@@ -14,7 +14,6 @@ from .padic import (
     PrecisionError,
     SmithForm,
     _int_divisors,
-    certified_rank,
     embed_element,
     field_embedding,
     kernel_basis,
@@ -24,6 +23,7 @@ from .padic import (
     smith_form,
 )
 from .models import LubinTateModel, iota_matrix
+from .semilinear import stacked_ranks
 
 
 class RankCertificationError(ValueError):
@@ -214,13 +214,7 @@ def _embed_rational(g, K, precision):
 
 def subspaces_equal(A: ProjectivePoint, B: ProjectivePoint) -> bool:
     """Same hyperplane at precision: stacking the bases does not raise rank."""
-    ra, _ = certified_rank(A.basis)
-    joint = PadicMatrix(
-        A.basis.field,
-        [rowa + rowb for rowa, rowb in zip(A.basis.rows, B.basis.rows)],
-    )
-    rj, _ = certified_rank(joint)
-    rb, _ = certified_rank(B.basis)
+    ra, rb, rj = stacked_ranks(A.basis, B.basis)
     return ra == rb == rj == A.dim
 
 

@@ -257,13 +257,16 @@ def solve_columns(S: PadicMatrix, B: PadicMatrix):
     return sf.R * (Dinv_top * PadicMatrix(f, LB.rows[:d]))
 
 
+def stacked_ranks(A: PadicMatrix, B: PadicMatrix):
+    """The certified ranks of A, B and [A | B], over their common field."""
+    A, B = _common_field(A, B)
+    joint = PadicMatrix(A.field, [a + b for a, b in zip(A.rows, B.rows)])
+    return certified_rank(A)[0], certified_rank(B)[0], certified_rank(joint)[0]
+
+
 def intersection_dim(A: PadicMatrix, B: PadicMatrix) -> int:
     """dim(colspan A  intersect  colspan B), certified at precision."""
-    A2, B2 = _common_field(A, B)
-    ra, _ = certified_rank(A2)
-    rb, _ = certified_rank(B2)
-    joint = PadicMatrix(A2.field, [ra_row + rb_row for ra_row, rb_row in zip(A2.rows, B2.rows)])
-    rj, _ = certified_rank(joint)
+    ra, rb, rj = stacked_ranks(A, B)
     return ra + rb - rj
 
 

@@ -334,10 +334,12 @@ class TestCorrespondCaps:
             cli.main(["correspond", *flags])
 
     def test_matrix_file_n_past_the_cap(self, tmp_path, capsys, monkeypatch):
+        # refused from the number of rows, before any entry is built
         n = cli.CORRESPOND_MAX_N + 1
         path = tmp_path / "m.json"
         path.write_text(json.dumps(matrix_to_json(
             PadicMatrix.identity(make_field_cached(2, 1, 8), n))))
+        monkeypatch.setattr(cli, "matrix_from_json", lambda doc: pytest.fail("built"))
         monkeypatch.setattr(cli.periods, "from_matrix", lambda X: pytest.fail("ran"))
         code, out, err = run(capsys, ["correspond", "--matrix", str(path)])
         assert code == cli.EXIT_BAD_FLAGS
@@ -476,7 +478,7 @@ REFUSALS = [
     ("correspond --matrix {dir}/1x2.json",
      "correspond: --matrix {dir}/1x2.json: need an n x n matrix, n >= 2 (got 1x2)"),
     ("correspond --matrix {dir}/p-not-an-integer.json",
-     "correspond: --matrix {dir}/p-not-an-integer.json: invalid literal for int() with base 10: 'two'"),
+     "correspond: --matrix {dir}/p-not-an-integer.json: p must be an integer (got 'two')"),
 ]
 
 _Q2 = make_field_cached(2, 1, 8)
@@ -522,9 +524,14 @@ class TestMalformedMatrix:
             dict(_q4_document(), shifts=[[0, 0]]),
             dict(_q4_document(), coeffs=[[["1"], ["1"]], [["1"], ["1"]]]),
             dict(_q4_document(), p="two"),
+            dict(_q4_document(), p=" 7"),
+            dict(_q4_document(), m="+2"),
+            dict(_q4_document(), precision="1_000"),
+            dict(_q4_document(), p="\u0663"),
         ],
         ids=["empty-object", "top-level-list", "no-rows", "ragged-rows", "1x1",
-             "shifts-shape", "short-entry", "p-not-an-integer"],
+             "shifts-shape", "short-entry", "p-not-an-integer", "p-space", "m-plus",
+             "precision-underscore", "p-arabic-indic-digit"],
     )
     def test_exit_2_naming_the_flag(self, tmp_path, capsys, document):
         path = tmp_path / "m.json"

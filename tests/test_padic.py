@@ -779,13 +779,18 @@ class TestLinearTables:
         assert img.abs_precision == 31 and img.valuation() == -1
 
     def test_tables_are_built_once(self):
+        # sigma keeps one table per precision in the cache of every field map
         f = make_field(3, 4, TABLE_PREC)
-        assert "_frobenius_table" not in vars(f)
+        padic._map_table.cache_clear()
         f.generator().frobenius()
-        table = vars(f)["_frobenius_table"]
+        assert padic._map_table.cache_info().misses == 1
         f.from_coeffs([1, 2, 3, 4]).frobenius()
-        assert f.frobenius_table(TABLE_PREC) is table
-        assert f.frobenius_table(TABLE_PREC + 4) is not table
+        assert padic._map_table.cache_info().misses == 1
+        above = f.from_coeffs([1, 2, 3, 4], TABLE_PREC + 4)
+        above.frobenius()
+        assert padic._map_table.cache_info().misses == 2
+        above.frobenius()
+        assert padic._map_table.cache_info().misses == 2
 
 
 def _trimmed(a):

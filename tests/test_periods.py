@@ -17,8 +17,10 @@ from padicperiods.padic import (
     kernel_basis,
     make_field_cached,
     matrix_to_json,
+    smith_form,
 )
 from padicperiods.models import build_DH, iota_matrix, od_multiply
+from padicperiods.semilinear import intersection_dim
 from padicperiods.periods import (
     OmegaVerdict,
     ProjectivePoint,
@@ -73,7 +75,7 @@ class TestFromMatrix:
         f = make_field_cached(2, 1, 4)
         X = PadicMatrix.from_ints(f, [[8, 8], [8, 8]])
         assert certified_rank(X) == (1, [3, AtLeast(4)])
-        assert not X.smith_form().pivots_invertible
+        assert not smith_form(X).pivots_invertible
         with pytest.raises(PrecisionError):
             from_matrix(X)
         line = ProjectivePoint(PadicMatrix.from_ints(f, [[1], [1]]), [f.one(), -f.one()])
@@ -148,6 +150,18 @@ class TestCorrespond:
     def test_symmetric_fixed_point(self, symmetric_point):
         pt = correspond(symmetric_point)
         assert pt.X.approx_equal(symmetric_point.X)
+
+    def test_subspaces_equal_across_fields(self, K):
+        # a hyperplane over Q_4 and its image in Q_16 are the same, in
+        # either order: the bases are compared over their common field
+        big = make_field_cached(2, 4, K.precision)
+        gen = field_embedding(K, big)
+        A = fil_G(random_point(2, K, seed=3))
+        B = ProjectivePoint(
+            PadicMatrix(big, [[embed_element(e, big, gen) for e in row] for row in A.basis.rows]),
+            [embed_element(e, big, gen) for e in A.normal])
+        assert subspaces_equal(A, B) and subspaces_equal(B, A)
+        assert intersection_dim(A.basis, B.basis) == intersection_dim(B.basis, A.basis) == 1
 
 
 class TestOmega:
