@@ -46,8 +46,8 @@ EXIT_INTEGRALITY = 5
 
 # formal-group's law costs about D^4: D = 128 takes seconds
 FORMAL_MAX_D = 128
-# models costs about n^4 (n^2 x n^2 matrices printed, charpoly by n blocks of n):
-# n = 16 takes about 0.6 s, n = 24 2.3 s
+# models costs about n^4, for the n^2 x n^2 matrices it builds and prints (DG(n)'s
+# charpoly takes 12 ms of it at n = 16): n = 16 takes about 0.4 s, n = 24 2.3 s
 MODELS_MAX_N = 16
 # correspond: building Q_{p^m} takes 0.6 s at m = 64 and 13 s at m = 128; the
 # pipeline takes 0.7 s at n = m = 16 and 7.6 s at n = m = 32 (5 s at n = 16, m = 64)
@@ -146,16 +146,18 @@ def _digits_refusal(p, e, key, name):
 
 def _matrix_file_refusal(doc):
     """The cap that a --matrix document breaks, read from its p, m,
-    precision and number of rows n before the field or any entry is built;
-    a document without those as integers is left to ``matrix_from_json``."""
+    precision, number of rows n and longest row before the field or any
+    entry is built; a document without those as integers is left to
+    ``matrix_from_json``."""
     try:
         p, m, N = (_json_int(doc[k], k) for k in ("p", "m", "precision"))
     except (KeyError, TypeError, ValueError):
         return None
     rows = doc.get("coeffs")
-    n = len(rows) if isinstance(rows, list) else 0
+    rows = rows if isinstance(rows, list) else []
+    width = max((len(r) for r in rows if isinstance(r, list)), default=0)
     return (_over("m", m, CORRESPOND_MAX_M) or _digits_refusal(p, N, "precision", "N")
-            or _over("n", n, CORRESPOND_MAX_N))
+            or _over("n", len(rows), CORRESPOND_MAX_N) or _over("columns", width, CORRESPOND_MAX_N))
 
 
 def cmd_correspond(args):

@@ -1115,128 +1115,124 @@ def saturate_lattice(M: PadicMatrix) -> PadicMatrix:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial (division-free Samuelson-Berkowitz)
+# characteristic polynomial (Hessenberg on Z/p^N, Berkowitz on elements)
 
 
 def in_base_field(M: PadicMatrix):
-    """True when every entry of M lies in Q_p: no w-part, any shift."""
-    return M.field.m == 1 or all(not any(e.coeffs[1:]) for r in M.rows for e in r)
+    """True when every entry of M lies in Q_p: no w-part, any shift (an
+    entry zero at its precision has zero coefficients)."""
+    return M.field.m == 1 or all(e._v is None or not any(e.coeffs[1:]) for r in M.rows for e in r)
 
 
 def charpoly(M: PadicMatrix):
     """Coefficients [a_0, ..., a_n] of det(tI - M), low degree first.
 
-    When every entry lies in Z_p (shift 0, no w-part) the loop runs on the
-    integers c_0 mod p^N, N = M.precision.  That is the loop's answer on
-    elements exactly: its zero accumulators cap every coefficient at N,
-    products of integral elements never fall below N, and Z_p -> Z_{p^m}
-    is a ring map.  On that ring the loop runs once per diagonal block: a
-    symmetric permutation makes A block upper triangular, one block per
-    strongly connected component of i -> j (A[i][j] != 0 mod p^N), so
-    det(tI - A) is the product of the blocks' charpolys in (Z/p^N)[t].
-    The element ring keeps one loop in the dense order, since there a zero
-    is O(p^N) and caps its sums.
+    When every entry lies in Z_p (shift 0, no w-part), one scan of the rows
+    gathers the integers c_0 and ``_hessenberg_charpoly`` computes det(tI -
+    A) mod p^N, N = M.precision.  That is the element loop's answer exactly:
+    its zero accumulators cap every coefficient at N, products of integral
+    elements never fall below N, and Z_p -> Z_{p^m} is a ring map.  The
+    reduction to Hessenberg form keeps that value, since each of its steps
+    is a similarity by a matrix invertible over Z/p^N: a symmetric swap, or
+    row_i -= c row_r followed by col_r += c col_i for an integer c.  Any
+    other entry sends the scan to the division-free loop on the elements,
+    where a zero is O(p^N) and caps its sums.
     """
     n = M.nrows
     if n != M.ncols:
         raise ValueError("not square")
     f = M.field
     N = M.precision
-    if in_base_field(M) and all(e.shift == 0 for r in M.rows for e in r):
-        p = f.p
-        mod = p ** N
-        pad = (0,) * (f.m - 1)
-        A = [[e.coeffs[0] % mod for e in r] for r in M.rows]
-
-        def red(v):
-            return [x % mod for x in v]
-
-        blocks = _strong_blocks(A)
-        if len(blocks) == 1:
-            coeffs = _berkowitz(A, 0, 1, red)
-        else:
-            coeffs = [1]
-            for b in blocks:
-                coeffs = red(_poly_mul(coeffs, _berkowitz([[A[i][j] for j in b] for i in b], 0, 1, red)))
-        return [PadicElement(f, (c,) + pad, 0, N, _valuation(p, (c,))) for c in coeffs]
-    return _berkowitz(M.rows, f.zero(N), f.one(N), lambda v: v)
+    A = []
+    for r in M.rows:
+        row = [e.coeffs[0] for e in r if e._v is None or not (e.shift or any(e.coeffs[1:]))]
+        if len(row) < n:
+            return _berkowitz(M.rows, f.zero(N), f.one(N))
+        A.append(row)
+    p, pad = f.p, (0,) * (f.m - 1)
+    return [PadicElement(f, (c,) + pad, 0, N, _valuation(p, (c,)))
+            for c in _hessenberg_charpoly(A, p, N)]
 
 
-def _strong_blocks(A):
-    """The strongly connected components of the graph i -> j, A[i][j] != 0,
-    as sorted index lists: Tarjan's algorithm on an explicit stack of
-    (vertex, successor iterator), since a 256 x 256 matrix would recurse
-    256 deep.  A vertex's index becomes n once its block is emitted, so
-    that it no longer lowers any ``low``."""
-    n = len(A)
-    succ = [[j for j, x in enumerate(row) if x] for row in A]
-    index = [-1] * n
-    low = [0] * n
-    stack, blocks, count = [], [], 0
-    for root in range(n):
-        if index[root] >= 0:
+def _hessenberg_charpoly(A, p, N):
+    """det(tI - A) mod p^N, low degree first, for a square integer matrix A.
+
+    Column k by column k, the entry of least valuation v below the diagonal
+    is swapped to (k+1, k) by a symmetric row and column swap, and each
+    entry e under it is cleared with c = (e / p^v) u^-1 mod p^(N-v), u the
+    pivot's unit part: row_i -= c row_(k+1), then col_(k+1) += c col_i.
+    Every step is a similarity over Z/p^N, so the upper Hessenberg H that
+    remains has the charpoly of A; that is read off the division-free
+    recurrence P_(m+1) = (t - h_mm) P_m - sum_i h_im h_(i+1,i)...h_(m,m-1)
+    P_i (Cohen, section 2.2.4).  Both steps take O(n^3) operations mod p^N.
+    """
+    n, mod = len(A), p ** N
+    H = [[x % mod for x in row] for row in A]
+    for k in range(n - 2):
+        r, v = None, N
+        for i in range(k + 1, n):
+            x = H[i][k]
+            if x:
+                vx = _valuation(p, (x,))
+                if vx < v:
+                    r, v = i, vx
+                    if not vx:
+                        break
+        if r is None:
             continue
-        index[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if index[w] < 0:
-                    index[w] = low[w] = count
-                    count += 1
-                    stack.append(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    k = stack.index(v)
-                    block = sorted(stack[k:])
-                    del stack[k:]
-                    for w in block:
-                        index[w] = n
-                    blocks.append(block)
-    return blocks
+        if r != k + 1:
+            H[r], H[k + 1] = H[k + 1], H[r]
+            for row in H:
+                row[r], row[k + 1] = row[k + 1], row[r]
+            r = k + 1
+        pv, rel = p ** v, p ** (N - v)
+        inv = pow(H[r][k] // pv, -1, rel)
+        pivot = H[r]
+        for i in range(r + 1, n):
+            e = H[i][k]
+            if e:
+                c = e // pv * inv % rel
+                H[i][k:] = [(x - c * y) % mod for x, y in zip(H[i][k:], pivot[k:])]
+                for row in H:
+                    if row[i]:
+                        row[r] = (row[r] + c * row[i]) % mod
+    polys = [[1]]
+    for m in range(n):
+        prev, h = polys[m], H[m][m]
+        new = [(x - h * y) % mod for x, y in zip([0] + prev, prev + [0])]  # (t - h) prev
+        scale = 1
+        for i in range(m - 1, -1, -1):
+            scale = scale * H[i + 1][i] % mod
+            if not scale:
+                break
+            c = scale * H[i][m] % mod
+            if c:
+                new[: i + 1] = [(x - c * y) % mod for x, y in zip(new, polys[i])]
+        polys.append(new)
+    return polys[n]
 
 
-def _berkowitz(A, zero, one, red):
-    """The division-free Samuelson-Berkowitz loop over any ring, low degree first.
+def _berkowitz(A, zero, one):
+    """The division-free Samuelson-Berkowitz loop on PadicElements, low
+    degree first.
 
     Step i multiplies the coefficient vector by the Toeplitz matrix of
     T = [1, -a, -R C, -R M C, ..., -R M^(i-2) C], where a = A[i-1][i-1], R
     and C are the row and column beside it and M is the block above them.
-    The Krylov vectors M^k C come from one matrix-vector product per k, over
-    the nonzero entries (t, j, x) of M with R joined as its last row.  Every
-    sum folds from ``zero`` in increasing index; ``red`` reduces a vector,
-    once per Krylov vector, T and coefficient vector.
+    The Krylov vectors M^k C come from one product per k by M with R joined
+    as its last row.  Every sum folds from ``zero`` in increasing index, so
+    a zero entry, O(p^N), caps the sums it enters.
     """
     vec = [one]
     for i in range(1, len(A) + 1):
-        # ``if x`` drops zero ints only: a PadicElement has no truth value, so
-        # a zero element is kept and caps its sum, as the dense fold does
-        rows = [(t, j, x) for t, row in enumerate(A[:i]) for j, x in enumerate(row[: i - 1]) if x]
+        rows = [row[: i - 1] for row in A[:i]]
         T = [one, zero - A[i - 1][i - 1]]
         cur = [A[t][i - 1] for t in range(i - 1)]
         for _ in range(i - 1):
-            nxt = [zero] * i
-            for t, j, x in rows:
-                nxt[t] += x * cur[j]
-            T.append(zero - nxt.pop())
-            cur = red(nxt)
-        T = red(T)
-        new = []
-        for s in range(i + 1):
-            acc = zero
-            for t in range(max(0, s - i + 1), s + 1):
-                acc += T[t] * vec[s - t]
-            new.append(acc)
-        vec = red(new)
+            cur = [sum((x * y for x, y in zip(row, cur)), zero) for row in rows]
+            T.append(zero - cur.pop())
+        vec = [sum((T[t] * vec[s - t] for t in range(max(0, s - i + 1), s + 1)), zero)
+               for s in range(i + 1)]
     return vec[::-1]
 
 

@@ -347,6 +347,18 @@ class TestCorrespondCaps:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and "--matrix" in lines[0] and f"n={n}" in lines[0]
 
+    def test_matrix_file_row_past_the_cap(self, tmp_path, capsys, monkeypatch):
+        # one row of 200,000 entries once built every entry (0.83 s, 65 MB)
+        # before the shape check refused it
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"p": 2, "m": 1, "precision": 32, "coeffs": [[["1"]] * 200000]}))
+        monkeypatch.setattr(cli, "matrix_from_json", lambda doc: pytest.fail("built"))
+        code, out, err = run(capsys, ["correspond", "--matrix", str(path)])
+        assert code == cli.EXIT_BAD_FLAGS
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "--matrix" in lines[0] and "columns=200000" in lines[0]
+
     @pytest.mark.parametrize("document, key", [
         ({"p": 2, "m": 200, "precision": 32}, "m"),
         ({"p": 2, "m": 65, "precision": 8}, "m"),
@@ -475,6 +487,8 @@ REFUSALS = [
      "correspond: --matrix {dir}/precision20000.json: precision must keep p^N below 10^4000 (got p=2, N=20000)"),
     ("correspond --matrix {dir}/p1000003.json",
      "correspond: --matrix {dir}/p1000003.json: precision must keep p^N below 10^4000 (got p=1000003, N=667)"),
+    ("correspond --matrix {dir}/1x17.json",
+     "correspond: --matrix {dir}/1x17.json: columns must be <= 16 (got columns=17)"),
     ("correspond --matrix {dir}/1x2.json",
      "correspond: --matrix {dir}/1x2.json: need an n x n matrix, n >= 2 (got 1x2)"),
     ("correspond --matrix {dir}/p-not-an-integer.json",
@@ -488,6 +502,7 @@ REFUSAL_DOCUMENTS = {
     "n17.json": matrix_to_json(PadicMatrix.identity(_Q2, 17)),
     "precision20000.json": {"p": 2, "m": 2, "precision": 20000, "coeffs": [[["1"]]]},
     "p1000003.json": {"p": "1000003", "m": 2, "precision": "667", "coeffs": [[["1"]]]},
+    "1x17.json": matrix_to_json(PadicMatrix.from_ints(_Q2, [[1] * 17])),
     "1x2.json": matrix_to_json(PadicMatrix.from_ints(_Q2, [[1, 1]])),
     "p-not-an-integer.json": {"p": "two", "m": 1, "precision": 8, "coeffs": [[["1"]]]},
 }
