@@ -67,8 +67,12 @@ def cm_period_valuations(p, h, i_0):
 
 
 def check_sum_identity(datum: CMDatum) -> bool:
-    """Sum of the period valuations equals v(t) = 1/(p-1)."""
-    return beta_integrality(datum) == 0
+    """Sum of the period valuations equals v(t) = 1/(p-1), on integers: the
+    (p^h - 1) * v(y_i) are p^0, ..., p^(h-1), once each, and p - 1 times
+    their sum is p^h - 1."""
+    p, q = datum.p, datum.p ** datum.h - 1
+    scaled = sorted(q * y for y in datum.y_valuations())
+    return scaled == [p ** i for i in range(datum.h)] and (p - 1) * sum(scaled) == q
 
 
 def functional_equation_valuations(datum: CMDatum) -> bool:

@@ -270,14 +270,41 @@ class FieldDescriptor:
         return _frobenius_image(self.p, list(self.modulus), min_precision)
 
     @cached_property
-    def powers(self):
-        """w^m, ..., w^(2m-2) modulo the modulus over Z, as nonzero terms (i, c)."""
+    def product_kernel(self):
+        """(a, b) -> a*b in Z[w]/(modulus) over Z, for two m-coefficient
+        lists: one straight-line function generated for this modulus.
+
+        It unpacks a0..a(m-1) and b0..b(m-1), forms each high term
+        h_k = sum_{i+j=k} a_i b_j (m <= k <= 2m-2) once, and returns the m
+        sums of the low terms and h_k * c_ki, where w^k = sum_i c_ki w^i mod
+        the modulus over Z.  A zero c_ki is left out and c_ki = +-1 adds or
+        subtracts h_k; every other c_ki is a name bound in the function's
+        globals, so no constant is written into the source as a literal.
+        """
         m, f = self.m, self.modulus
-        out, cur = [], [-c for c in f[:m]]  # w^m
-        for _ in range(m - 1):
-            out.append([(i, c) for i, c in enumerate(cur) if c])
+        consts, cur = {}, [-c for c in f[:m]]  # w^m
+        for k in range(m, 2 * m - 1):
+            consts.update((f"c{k}_{i}", c) for i, c in enumerate(cur) if c)
             cur = [c - cur[-1] * fc for c, fc in zip([0] + cur[:-1], f)]  # w * cur
-        return out
+
+        def term(k):  # the schoolbook coefficient of w^k
+            return " + ".join(f"a{i} * b{k - i}" for i in range(max(0, k - m + 1), min(k, m - 1) + 1))
+
+        def fold(k, i):
+            c = consts.get(f"c{k}_{i}", 0)
+            return ("" if c == 0 else f" + h{k}" if c == 1 else f" - h{k}" if c == -1
+                    else f" + h{k} * c{k}_{i}")
+
+        high = range(m, 2 * m - 1)
+        src = "".join([
+            "def kernel(a, b):\n",
+            f"    {''.join(f'a{i}, ' for i in range(m))}= a\n",
+            f"    {''.join(f'b{i}, ' for i in range(m))}= b\n",
+            *(f"    h{k} = {term(k)}\n" for k in high),
+            f"    return [{', '.join(term(i) + ''.join(fold(k, i) for k in high) for i in range(m))}]\n",
+        ])
+        exec(src, consts)
+        return consts["kernel"]
 
 
 def _residues(p, m, start=0):
@@ -419,38 +446,18 @@ def _product_precision(Na, va, Nb, vb):
 
 
 def _mul_coeffs(f, a, b):
-    """a*b in Z[w]/(modulus) over the integers; the caller reduces mod p^k.
+    """a*b in Z[w]/(modulus) over the integers, for two m-coefficient lists;
+    the caller reduces mod p^k.
 
     A factor in Q_p (no w-part) scales the other one coefficient by
-    coefficient.  Otherwise the terms of degree m..2m-2 of the schoolbook
-    product fold back through the field's table of w^m..w^(2m-2).
+    coefficient; every other product is the field's ``product_kernel``.
+    Both give the unique remainder of a*b by the monic modulus over Z.
     """
     if not any(a[1:]):
         return [a[0] * y for y in b]
     if not any(b[1:]):
         return [b[0] * x for x in a]
-    m = f.m
-    prod = [0] * (2 * m - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                prod[j] += x * y
-    out = prod[:m]
-    for h, row in zip(prod[m:], f.powers):
-        if h:
-            for i, t in row:
-                out[i] += h * t
-    return out
-
-
-def _unit_inverse(f, unit, k):
-    """u^-1 modulo (modulus, p^k) as m coefficients, for a unit u of
-    Z[w]/(modulus): by ``pow`` for a unit of Z_p, by ``_poly_inverse``
-    otherwise."""
-    if any(unit[1:]):
-        inv = _poly_inverse(unit, list(f.modulus), f.p, k)
-        return inv + [0] * (f.m - len(inv))
-    return [pow(unit[0], -1, f.p ** k)] + [0] * (f.m - 1)
+    return f.product_kernel(a, b)
 
 
 def _inverse(f, coeffs, shift, N, v):
@@ -458,7 +465,8 @@ def _inverse(f, coeffs, shift, N, v):
     coeffs of valuation v at precision N (ZeroDivisionError for v None).
 
     1/x has precision N - 2v, which may be < 1 while y/x has digits; its
-    unit part is inverted modulo p^(N - v) (v < N) by ``_unit_inverse``.
+    unit part u is inverted modulo p^(N - v) (v < N): by ``pow`` for a unit
+    of Z_p, by ``_poly_inverse`` otherwise.
     """
     if v is None:
         raise ZeroDivisionError("element indistinguishable from zero")
@@ -466,7 +474,12 @@ def _inverse(f, coeffs, shift, N, v):
     rel = N - v
     N = N - 2 * v
     pw = p ** (v + shift)  # p to the coefficient-level valuation
-    inv = _unit_inverse(f, [c // pw for c in coeffs], rel)
+    u = [c // pw for c in coeffs]
+    if any(u[1:]):
+        inv = _poly_inverse(u, list(f.modulus), p, rel)
+        inv += [0] * (f.m - len(inv))
+    else:
+        inv = [pow(u[0], -1, p ** rel)] + [0] * (f.m - 1)
     shift_out = max(v, 0)
     scale = p ** (shift_out - v)
     return [c * scale for c in inv], shift_out, N
@@ -1025,17 +1038,21 @@ def _int_divisors(f, rows, N):
     list of p^S * x mod (modulus, p^(N+S)), S the largest shift; an entry
     known to more than N digits is cut to N, and dropping digits never
     certifies more.  The pivot is the first entry of least valuation v in
-    row-major order, with ``smith_form``'s row and column swaps, and a
-    pivot p^v * u clears each entry e below it by the factor (e / p^v) *
-    u^-1 mod p^(N+S-v), every update reduced mod p^(N+S).  That is exact,
-    so no precision is tracked: e has valuation >= v, so the factor is
-    integral and its error is a multiple of p^(N+S-v) in
-    Z[w]/(modulus), and every entry of the pivot row has valuation >= v, so
-    the error times any of them vanishes mod p^(N+S).  Each entry thus
-    stays at precision N, as in ``smith_form`` at one flat precision, and
-    no entry is ever too coarse to clear.  Clearing the pivot row only
-    zeroes its entries (the other rows are zero in the pivot column), so it
-    is skipped.  Returns v - S per pivot, each below N, then AtLeast(N).
+    row-major order, with ``smith_form``'s row and column swaps.  A pivot
+    p^v * u clears each entry e below it without any division:
+    row_i <- u * row_i - (e / p^v) * row_k, mod p^(N+S), where e / p^v is
+    integral as v is least.  That is u times the update by the factor
+    (e / p^v) * u^-1 of an elimination that divides, mod p^(N+S): every
+    entry of row k has valuation >= v, so the factor's error, a multiple
+    of p^(N+S-v), vanishes there.  u is a unit of Z[w]/(modulus), the
+    modulus being irreducible mod p, so a row times u keeps the valuation
+    of every entry, and by induction each row stays a unit multiple of
+    that elimination's row.  The pivots, swaps and divisors are therefore
+    the same, each entry stays at precision N, as in ``smith_form`` at one
+    flat precision, and no entry is ever too coarse to clear.  Clearing the
+    pivot row only zeroes its entries (the other rows are zero in the pivot
+    column), so it is skipped.  Returns v - S per pivot, each below N, then
+    AtLeast(N).
     """
     p = f.p
     S = max((s for row in rows for _, s in row), default=0)
@@ -1065,19 +1082,16 @@ def _int_divisors(f, rows, N):
                 row[k], row[bj] = row[bj], row[k]
         wk = work[k]
         pv = p ** v
-        rel = N + S - v
-        prel = mod // pv
-        uinv = None  # inverted once, and only if an entry needs clearing
+        u = [x // pv for x in wk[k]]
         for wi in work[k + 1:]:
             e = wi[k]
             if not any(e):
                 continue
-            if uinv is None:
-                uinv = _unit_inverse(f, [x // pv for x in wk[k]], rel)
-            # column k is not read again; the factor is known mod p^rel only
-            fct = [x % prel for x in _mul_coeffs(f, [x // pv for x in e], uinv)]
+            # column k is not read again
+            fct = [x // pv for x in e]
             for j in range(k + 1, c):
-                wi[j] = [(a - b) % mod for a, b in zip(wi[j], _mul_coeffs(f, fct, wk[j]))]
+                wi[j] = [(a - b) % mod for a, b in
+                         zip(_mul_coeffs(f, u, wi[j]), _mul_coeffs(f, fct, wk[j]))]
         divisors.append(v - S)
     divisors += [AtLeast(N)] * (min(r, c) - len(divisors))
     return divisors

@@ -1,6 +1,7 @@
 """Exact-rational valuation ledger: CM tables, determinant laws, transfer."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +63,16 @@ class TestIdentities:
         assert check_sum_identity(datum)
         assert functional_equation_valuations(datum)
         assert beta_integrality(datum) == Fraction(0)
+
+    def test_sum_identity_does_not_read_beta_integrality(self):
+        # the two ledger checks compute v(beta) independently
+        datum = CMDatum(3, 4, 1)
+        with mock.patch("padicperiods.ledger.beta_integrality", return_value=Fraction(1)):
+            assert check_sum_identity(datum)
+        ys = datum.y_valuations()
+        for wrong in ([2 * ys[0]] + ys[1:], [ys[0]] * 4):
+            with mock.patch.object(CMDatum, "y_valuations", return_value=wrong):
+                assert not check_sum_identity(datum)
 
     def test_functional_equation_wrap(self):
         # p*v(y_{h-1}) picks up the extra factor p at the critical wrap

@@ -1120,6 +1120,21 @@ class TestQpScalars:
             assert _poly_rem(r, f, mod) == _per_term_poly_rem([x % mod for x in r], f, mod)
         assert _poly_mulmod(a, b, f, mod) == _per_term_poly_mulmod(a, b, f, mod)
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_product_kernel_matches_per_term_product(self, data):
+        # every field Q_{p^m}, p in {2, 3, 5, 7} and m <= 8, on factors with
+        # zero, negative and unreduced coefficients
+        for p, m in itertools.product([2, 3, 5, 7], range(1, 9)):
+            f = make_field_cached(p, m, PREC)
+            mod = p ** data.draw(st.integers(1, 40))
+            coeff = st.one_of(st.just(0), st.integers(-mod * p, mod * p))
+            a, b = (data.draw(st.lists(coeff, min_size=m, max_size=m)) for _ in range(2))
+            expected = _per_term_poly_mulmod(a, b, list(f.modulus), mod)
+            expected += [0] * (m - len(expected))
+            for got in (f.product_kernel(a, b), padic._mul_coeffs(f, a, b)):
+                assert [x % mod for x in got] == expected
+
     @settings(max_examples=400, deadline=None)
     @given(unit_inverse_inputs())
     def test_poly_inverse_is_an_inverse(self, inputs):
