@@ -1132,37 +1132,52 @@ def saturate_lattice(M: PadicMatrix) -> PadicMatrix:
 # characteristic polynomial (Hessenberg on Z/p^N, Berkowitz on elements)
 
 
-def in_base_field(M: PadicMatrix):
-    """True when every entry of M lies in Q_p: no w-part, any shift (an
-    entry zero at its precision has zero coefficients)."""
-    return M.field.m == 1 or all(e._v is None or not any(e.coeffs[1:]) for r in M.rows for e in r)
+def _zp_rows(M: PadicMatrix):
+    """One pass over M's entries, the scan rule of every Z_p route.
+
+    When every entry lies in Z_p (shift 0, no w-part; an entry zero at its
+    precision counts as its c_0 = 0, from its stored valuation), (A, N):
+    the integer rows of c_0's and N = M.precision, the least entry
+    precision.  Otherwise (None, w): w is True when some entry has a
+    w-part, and False when every entry lies in Q_p and one has a shift.
+    """
+    wide, rows = M.field.m > 1, M.rows
+    N = rows[0][0].abs_precision if rows and rows[0] else M.precision
+    A = []
+    for r in rows:
+        row = []
+        for e in r:
+            if e._v is not None and (e.shift or wide and any(e.coeffs[1:])):
+                return None, wide and any(
+                    x._v is not None and any(x.coeffs[1:]) for r in rows for x in r)
+            row.append(e.coeffs[0])
+            if e.abs_precision < N:
+                N = e.abs_precision
+        A.append(row)
+    return A, N
 
 
 def charpoly(M: PadicMatrix):
     """Coefficients [a_0, ..., a_n] of det(tI - M), low degree first.
 
-    When every entry lies in Z_p (shift 0, no w-part), one scan of the rows
-    gathers the integers c_0 and ``_hessenberg_charpoly`` computes det(tI -
-    A) mod p^N, N = M.precision.  That is the element loop's answer exactly:
-    its zero accumulators cap every coefficient at N, products of integral
-    elements never fall below N, and Z_p -> Z_{p^m} is a ring map.  The
-    reduction to Hessenberg form keeps that value, since each of its steps
-    is a similarity by a matrix invertible over Z/p^N: a symmetric swap, or
-    row_i -= c row_r followed by col_r += c col_i for an integer c.  Any
-    other entry sends the scan to the division-free loop on the elements,
-    where a zero is O(p^N) and caps its sums.
+    When every entry lies in Z_p, ``_zp_rows`` reads the integers c_0 and
+    N = M.precision, and ``_hessenberg_charpoly`` computes det(tI - A) mod
+    p^N.  That is the element loop's answer exactly: its zero accumulators
+    cap every coefficient at N, products of integral elements never fall
+    below N, and Z_p -> Z_{p^m} is a ring map.  The reduction to Hessenberg
+    form keeps that value, since each of its steps is a similarity by a
+    matrix invertible over Z/p^N: a symmetric swap, or row_i -= c row_r
+    followed by col_r += c col_i for an integer c.  Any other entry sends
+    M to the division-free loop on the elements, where a zero is O(p^N)
+    and caps its sums.
     """
-    n = M.nrows
-    if n != M.ncols:
+    if M.nrows != M.ncols:
         raise ValueError("not square")
     f = M.field
-    N = M.precision
-    A = []
-    for r in M.rows:
-        row = [e.coeffs[0] for e in r if e._v is None or not (e.shift or any(e.coeffs[1:]))]
-        if len(row) < n:
-            return _berkowitz(M.rows, f.zero(N), f.one(N))
-        A.append(row)
+    A, N = _zp_rows(M)
+    if A is None:
+        N = M.precision
+        return _berkowitz(M.rows, f.zero(N), f.one(N))
     p, pad = f.p, (0,) * (f.m - 1)
     return [PadicElement(f, (c,) + pad, 0, N, _valuation(p, (c,)))
             for c in _hessenberg_charpoly(A, p, N)]

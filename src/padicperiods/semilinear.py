@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .ledger import _frac_str
 from .padic import (
+    AtLeast,
     FieldDescriptor,
     PadicMatrix,
     PrecisionError,
@@ -23,11 +24,13 @@ from .padic import (
     certified_rank,
     embed_element,
     field_embedding,
-    in_base_field,
     is_exact,
     kernel_basis,
     make_field_cached,
     smith_form,
+    _hessenberg_charpoly,
+    _valuation,
+    _zp_rows,
 )
 
 
@@ -76,13 +79,20 @@ def newton_slopes(iso: Isocrystal):
     stay in Q_p.  Otherwise they are 1/m times the polygon slopes of the
     charpoly of the linearization, and hold for every lift in Q_{p^m}.
     Their sum equals the valuation of det(A).
+
+    On Z_p input the polygon is read straight off the integers of
+    ``_hessenberg_charpoly``, as ``charpoly`` would wrap them: v(c) for a
+    nonzero c, AtLeast(N) for 0.
     """
     A = iso.frob_matrix
-    if in_base_field(A):
-        m, B = 1, A
-    else:
-        m, B = iso.field.m, linearize(iso)
-    return _hull_slopes([c.valuation() for c in charpoly(B)], m)
+    ints, N = _zp_rows(A)
+    if ints is None:
+        w_part = N  # off Z_p, the second value says whether sigma moves A
+        m, B = (iso.field.m, linearize(iso)) if w_part else (1, A)
+        return _hull_slopes([c.valuation() for c in charpoly(B)], m)
+    p = A.field.p
+    return _hull_slopes([_valuation(p, (c,)) if c else AtLeast(N)
+                         for c in _hessenberg_charpoly(ints, p, N)], 1)
 
 
 def _hull_slopes(vals, m):

@@ -453,3 +453,94 @@ def _fields(x):
 def _flat(M):
     return [x for row in M.rows for x in row]
 
+
+
+def _ring_mul(a, b, f, mod):
+    """a * b in Z[w]/(f, mod): coefficient lists low degree first, f monic
+    of degree m = len(f) - 1."""
+    m = len(f) - 1
+    out = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    for k in range(2 * m - 2, m - 1, -1):  # w^k = -sum_i f_i w^(k - m + i)
+        c = out[k]
+        for i in range(m):
+            out[k - m + i] -= c * f[i]
+    return [x % mod for x in out[:m]]
+
+
+def _ring_sum(terms, mod):
+    return [sum(cs) % mod for cs in zip(*terms)]
+
+
+def _ring_det(M, f, mod):
+    """det M over Z[w]/(f, mod), by expansion along the first row."""
+    if len(M) == 1:
+        return M[0][0]
+    terms = []
+    for j, a in enumerate(M[0]):
+        minor = _ring_det([row[:j] + row[j + 1:] for row in M[1:]], f, mod)
+        term = _ring_mul(a, minor, f, mod)
+        terms.append(term if j % 2 == 0 else [-x for x in term])
+    return _ring_sum(terms, mod)
+
+
+def _adjugate(X, f, mod):
+    """adj(X)[j][i] = (-1)^(i+j) det of X without row i and column j."""
+    n = len(X)
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [row[:j] + row[j + 1:] for k, row in enumerate(X) if k != i]
+            d = _ring_det(minor, f, mod)
+            adj[j][i] = d if (i + j) % 2 == 0 else [-x % mod for x in d]
+    return adj
+
+
+def _proportional(u, l, f, mod):
+    """Every 2 x 2 cross product u_i l_j - u_j l_i is 0 mod (f, mod)."""
+    return all(not any(_ring_sum([_ring_mul(u[i], l[j], f, mod),
+                                  [-x for x in _ring_mul(u[j], l[i], f, mod)]], mod))
+               for i in range(len(u)) for j in range(i + 1, len(u)))
+
+
+class TestAdjugateOracle:
+    """X = B * C, B an n x (n-1) matrix over Z[w] and C an (n-1) x n integer
+    matrix, has rank n - 1, so adj(X) X = X adj(X) = 0 and adj(X) has rank
+    1: every row of adj(X) is proportional to fil_G's normal and every
+    column to fil_H's.  The product and the cofactors are computed here mod
+    (modulus, p^N), with no library routine; the proportionality is checked
+    mod p^min(N, N_l), N_l the normal's precision."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rows_and_columns_of_the_adjugate(self, p, m, n):
+        N = 16
+        K = make_field_cached(p, m, N)
+        f, mod = list(K.modulus), p ** N
+        rng = random.Random(p * 100 + m * 10 + n)
+        checked = nonzero = 0
+        for _ in range(75):
+            B = [[[rng.randrange(mod) for _ in range(m)] for _ in range(n - 1)]
+                 for _ in range(n)]
+            C = [[rng.randrange(mod) for _ in range(n)] for _ in range(n - 1)]
+            X = [[_ring_sum([[c * x for x in b] for b, c in zip(B[i], [row[j] for row in C])],
+                            mod) for j in range(n)] for i in range(n)]
+            try:
+                pm = from_matrix(PadicMatrix(K, [[K.from_coeffs(x, N) for x in row]
+                                                 for row in X]))
+            except (RankCertificationError, PrecisionError):
+                continue
+            adj = _adjugate(X, f, mod)
+            for normal, vectors in ((fil_G(pm).normal, adj),
+                                    (fil_H(pm).normal, [list(c) for c in zip(*adj)])):
+                assert all(x.shift == 0 for x in normal)
+                cut = p ** min(N, min(x.abs_precision for x in normal))
+                l = [list(x.coeffs) for x in normal]
+                for u in vectors:
+                    nonzero += any(any(c % cut for c in x) for x in u)
+                    assert _proportional(u, l, f, cut)
+            checked += 1
+        assert checked == 75 and nonzero

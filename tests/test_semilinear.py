@@ -7,14 +7,13 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from padicperiods import semilinear
+from padicperiods import padic, semilinear
 from padicperiods.padic import (
     AtLeast,
     PadicMatrix,
     PrecisionError,
     charpoly,
     field_embedding,
-    in_base_field,
     is_exact,
     make_field_cached,
 )
@@ -30,6 +29,7 @@ from padicperiods.semilinear import (
     weak_admissibility_sample,
 )
 from padicperiods.models import build_DG, build_DH, phi_matrix
+from test_padic import _dense_berkowitz_int
 
 
 class TestLinearize:
@@ -334,8 +334,14 @@ def _slope_operator(draw, w_part):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         rows[i][j] = rows[i][j] + f.generator(N)
     A = PadicMatrix(f, rows)
-    assume(in_base_field(A) != w_part)  # the added w can cancel a drawn w-part
+    assume(_has_w_part(A) == w_part)  # the added w can cancel a drawn w-part
     return A
+
+
+def _has_w_part(A):
+    """Some entry of A, not zero at its precision, has a nonzero
+    coefficient of w^i, i >= 1."""
+    return any(not x.is_zero_at_precision() and any(x.coeffs[1:]) for row in A.rows for x in row)
 
 
 def _lift(A, rng, w_part):
@@ -352,13 +358,17 @@ def _lift(A, rng, w_part):
     return PadicMatrix(f, [[lift(x) for x in row] for row in A.rows])
 
 
-def _polygon_slopes(coeffs):
-    """Slopes of the lower hull of the exact points (i, v(c_i)), walked from
-    each vertex to the farthest point of least slope; None when the
-    constant term is not exact or an AtLeast bound lies below the hull."""
-    vals = [c.valuation() for c in coeffs]
+UNRESOLVED_CONSTANT = "Newton polygon unresolved: constant term indistinguishable from zero"
+UNRESOLVED_BOUND = "precision insufficient to resolve the Newton polygon"
+
+
+def _polygon(vals):
+    """(slopes, None) for the lower hull of the exact points (i, vals[i]),
+    walked from each vertex to the farthest point of least slope; (None,
+    the PrecisionError message newton_slopes owes) when the constant term
+    is not exact or an AtLeast bound lies below the hull."""
     if not is_exact(vals[0]):
-        return None
+        return None, UNRESOLVED_CONSTANT
     slopes, i = [], 0
     while i < len(vals) - 1:
         later = [j for j in range(i + 1, len(vals)) if is_exact(vals[j])]
@@ -366,10 +376,16 @@ def _polygon_slopes(coeffs):
         for k in range(i + 1, j):
             hull = vals[i] + Fraction((vals[j] - vals[i]) * (k - i), j - i)
             if not is_exact(vals[k]) and vals[k].n < hull:
-                return None
+                return None, UNRESOLVED_BOUND
         slopes += [Fraction(vals[i] - vals[j], j - i)] * (j - i)
         i = j
-    return slopes
+    return slopes, None
+
+
+def _polygon_slopes(coeffs):
+    """The polygon slopes of the valuations of coeffs, or None when they
+    do not resolve."""
+    return _polygon([c.valuation() for c in coeffs])[0]
 
 
 def _fraction_hull_slopes(vals, m):
@@ -448,3 +464,134 @@ class TestSlopeRoutes:
             return
         m = A.field.m
         assert newton_slopes(iso) == sorted(s / m for s in expected)
+
+
+def _v(c, p):
+    """The valuation of a nonzero integer."""
+    v = 0
+    while not c % p:
+        c //= p
+        v += 1
+    return v
+
+
+def _oracle_slopes(A, p, mod, N):
+    """(slopes, None) or (None, message): the hull of the valuations of
+    det(tI - A) mod ``mod``, the reference Berkowitz, with AtLeast(N) for a
+    coefficient that is 0 mod ``mod``.  Ascending, as newton_slopes gives
+    them."""
+    coeffs = _dense_berkowitz_int(A, mod, len(A))
+    slopes, message = _polygon([_v(c, p) if c else AtLeast(N) for c in coeffs])
+    return (None, message) if slopes is None else (sorted(slopes), None)
+
+
+@st.composite
+def _zp_operator(draw):
+    """(A, ints, N): A over Q_{p^m}, p in {2, 3, 5}, m <= 3, n <= 6, every
+    entry a w-free element of Z_p at its own precision (N to N + 3, so
+    mixed); entries are sometimes zero, often p-divisible and sometimes zero
+    at their precision.  ``ints`` are the drawn integers, N the least
+    entry precision."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 3))
+    f = make_field_cached(p, m, 16)
+    n, base = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    ints, rows, precisions = [], [], []
+    for _ in range(n):
+        row, ints_row = [], []
+        for _ in range(n):
+            prec = base + draw(st.sampled_from([0, 0, 1, 3]))
+            e = draw(st.sampled_from([0, 0, 0, 1, 2, prec]))
+            c = draw(st.integers(-p ** 8, p ** 8)) * p ** e if draw(st.integers(0, 3)) else 0
+            row.append(f.from_coeffs([c], prec))
+            ints_row.append(c)
+            precisions.append(prec)
+        rows.append(row)
+        ints.append(ints_row)
+    return PadicMatrix(f, rows), ints, min(precisions)
+
+
+def _first_row_finer():
+    """[[4 + O(2^8), 0 + O(2^8)], [0 + O(2^4), 4 + O(2^4)]] over Q_2, drawn
+    as ``_zp_operator`` draws."""
+    f = make_field_cached(2, 1, 16)
+    A = PadicMatrix(f, [[f.from_int(4, 8), f.zero(8)], [f.zero(4), f.from_int(4, 4)]])
+    return A, [[4, 0], [0, 4]], 4
+
+
+def _elements_built(fn, *args):
+    """The PadicElements constructed while fn(*args) runs, and its result or
+    the exception it raised."""
+    built, real = [], padic.PadicElement.__init__
+
+    def spy(self, *a, **k):
+        built.append(a)
+        real(self, *a, **k)
+
+    with mock.patch.object(padic.PadicElement, "__init__", spy):
+        try:
+            return built, fn(*args)
+        except PrecisionError as exc:
+            return built, exc
+
+
+class TestZpRoute:
+    """On Z_p input newton_slopes reads the polygon off one integer pass:
+    it equals the tests' own hull of the reference Berkowitz mod p^N, N the
+    least entry precision, and builds no element."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_zp_operator())
+    # det = 16: zero at N = 4, the second row's precision, though the first
+    # row is known mod 2^8
+    @example(_first_row_finer())
+    def test_matches_the_integer_oracle(self, drawn):
+        A, ints, N = drawn
+        p = A.field.p
+        slopes, message = _oracle_slopes(ints, p, p ** N, N)
+        iso = Isocrystal(A.field, A.nrows, A)
+        if message is None:
+            assert newton_slopes(iso) == slopes
+        else:
+            with pytest.raises(PrecisionError) as exc:
+                newton_slopes(iso)
+            assert str(exc.value) == message
+
+    @settings(max_examples=50, deadline=None)
+    @given(_zp_operator())
+    def test_builds_no_element(self, drawn):
+        A = drawn[0]
+        built, _ = _elements_built(newton_slopes, Isocrystal(A.field, A.nrows, A))
+        assert built == []
+
+    def test_the_spy_sees_the_element_routes(self, Q4):
+        # a shift or a w-part leaves Z_p: charpoly's element loop runs
+        half = Q4.from_coeffs([1], 16, 1)
+        for x in (half, Q4.generator()):
+            A = PadicMatrix(Q4, [[x, Q4.zero()], [Q4.zero(), Q4.one()]])
+            built, _ = _elements_built(newton_slopes, Isocrystal(Q4, 2, A))
+            assert built
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_models_take_the_integer_pass(self, n):
+        for model in (build_DH(n, precision=12), build_DG(n, precision=12)):
+            iso = model.isocrystal(model.field)
+            built, slopes = _elements_built(newton_slopes, iso)
+            assert built == [] and slopes == [Fraction(1, n)] * iso.dim
+
+    @settings(max_examples=150, deadline=None)
+    @given(_zp_operator())
+    def test_shifted_entries_lower_every_slope(self, drawn):
+        # A/p has the slopes of A less 1, and the exact A/p is a lift of
+        # the element loop's input: whatever it certifies must be that
+        A, ints, N = drawn
+        p, n = A.field.p, A.nrows
+        f = make_field_cached(p, 1, 16)
+        B = PadicMatrix(f, [[f.from_coeffs([a], N, 1) for a in row] for row in ints])
+        try:
+            got = newton_slopes(Isocrystal(f, n, B))
+        except PrecisionError:
+            return
+        exact, message = _oracle_slopes(ints, p, p ** (64 * n), 64 * n)
+        assert message is None
+        assert got == [s - 1 for s in exact]
