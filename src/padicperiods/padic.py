@@ -460,26 +460,29 @@ def _mul_coeffs(f, a, b):
     return f.product_kernel(a, b)
 
 
+def _unit_inverse(f, u, rel):
+    """u^-1 mod (modulus, p^rel) as m coefficients, for a unit u of
+    Z[w]/(modulus): by ``pow`` for a unit of Z_p, by ``_poly_inverse``
+    otherwise."""
+    if any(u[1:]):
+        inv = _poly_inverse(u, list(f.modulus), f.p, rel)
+        return inv + [0] * (f.m - len(inv))
+    return [pow(u[0], -1, f.p ** rel)] + [0] * (f.m - 1)
+
+
 def _inverse(f, coeffs, shift, N, v):
     """(coeffs, shift, N) of 1/x, before normalization, for x = p^-shift *
     coeffs of valuation v at precision N (ZeroDivisionError for v None).
 
     1/x has precision N - 2v, which may be < 1 while y/x has digits; its
-    unit part u is inverted modulo p^(N - v) (v < N): by ``pow`` for a unit
-    of Z_p, by ``_poly_inverse`` otherwise.
+    unit part u is inverted modulo p^(N - v) (v < N) by ``_unit_inverse``.
     """
     if v is None:
         raise ZeroDivisionError("element indistinguishable from zero")
     p = f.p
-    rel = N - v
-    N = N - 2 * v
     pw = p ** (v + shift)  # p to the coefficient-level valuation
-    u = [c // pw for c in coeffs]
-    if any(u[1:]):
-        inv = _poly_inverse(u, list(f.modulus), p, rel)
-        inv += [0] * (f.m - len(inv))
-    else:
-        inv = [pow(u[0], -1, p ** rel)] + [0] * (f.m - 1)
+    inv = _unit_inverse(f, [c // pw for c in coeffs], N - v)
+    N = N - 2 * v
     shift_out = max(v, 0)
     scale = p ** (shift_out - v)
     return [c * scale for c in inv], shift_out, N
@@ -761,7 +764,8 @@ class PadicMatrix:
 
     @property
     def precision(self):
-        return min(e.abs_precision for r in self.rows for e in r)
+        """The least entry precision; the field's for a matrix with no entry."""
+        return min((e.abs_precision for r in self.rows for e in r), default=self.field.precision)
 
     def transpose(self):
         return PadicMatrix(self.field, list(map(list, zip(*self.rows))))
@@ -852,7 +856,8 @@ def _product(rows, cols):
 
 @dataclass
 class SmithForm:
-    """L*M*R = D diagonal; Linv, Rinv are the inverses of the transforms.
+    """L*M*R = D diagonal mod p^N, N = M.precision; Linv, Rinv are the
+    inverses of the transforms.
 
     ``divisors`` are the elementary divisor valuations in non-decreasing
     order; entries indistinguishable from zero produce AtLeast markers.
@@ -896,12 +901,6 @@ class SmithForm:
         return D
 
 
-def _times(f, a, b):
-    """a*b on kernel entries (coeffs, shift, N, v), normalized once."""
-    N = _product_precision(a[2], a[3], b[2], b[3])
-    return _normal(f.p, _mul_coeffs(f, a[0], b[0]), a[1] + b[1], N)
-
-
 def _fused(f, x, a, b, sign):
     """x + sign*a*b on kernel entries, normalized once, at precision
     min(N_x, N(a*b)); it raises where a*b raises, so it equals the element
@@ -916,19 +915,12 @@ def _fused(f, x, a, b, sign):
     return _normal(f.p, coeffs, s, N if N < Np else Np)
 
 
-def _zero_quotient(zero, n):
-    """x / pivot for a zero x, at its precision n = N_x - v_pivot, as a
-    kernel entry; PrecisionError for n < 1, as the element quotient."""
-    if n < 1:
-        raise PrecisionError("quotient has no significant digits")
-    return zero[0], 0, n, None
-
-
 def _replay(f, n, steps, cols, inverse, one, zero):
     """Rows of an n x n transform of ``smith_form``, replayed on the identity
-    by the elimination's ``_fused`` updates in its order: the row operations
-    of L (row i -= fct * row k) and Rinv (row k += fct * row j), or the
-    transposed column operations of R and Linv (a*b is symmetric there)."""
+    by ``_fused`` updates with the recorded factors, in the elimination's
+    order: the row operations of L (row i -= fct * row k) and Rinv (row k
+    += fct * row j), or the transposed column operations of R and Linv (a*b
+    is symmetric there)."""
     T = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for k, bi, bj, row_fcts, col_fcts in steps:
         b, fcts = (bj, col_fcts) if cols else (bi, row_fcts)
@@ -946,83 +938,109 @@ def _replay(f, n, steps, cols, inverse, one, zero):
     return [[elements[id(e)] for e in row] for row in T]
 
 
+def _flat(p, rows, N):
+    """(S, work) for the matrix whose entries are given as (coeffs, shift):
+    each entry x = p^-shift * sum coeffs[i] w^i becomes the coefficient list
+    of p^S * x mod p^(N+S), S the largest shift.  An entry known to more
+    than N digits is cut to N; dropping digits never certifies more."""
+    S = max((s for row in rows for _, s in row), default=0)
+    mod = p ** (N + S)
+    return S, [[[x * p ** (S - s) % mod for x in coeffs] for coeffs, s in row] for row in rows]
+
+
+def _pivot(p, work, k):
+    """The first entry of least valuation v in the block of ``work`` from
+    (k, k), in row-major order, moved to (k, k) by swapping rows k and bi
+    and columns k and bj: (v, bi, bj), or None when the block is zero."""
+    v = None
+    for i in range(k, len(work)):
+        for j, x in enumerate(work[i][k:], k):
+            w = _valuation(p, x)
+            if w is not None and (v is None or w < v):
+                v, bi, bj = w, i, j
+                if not w:
+                    break
+        if v == 0:
+            break
+    if v is None:
+        return None
+    if bi != k:
+        work[k], work[bi] = work[bi], work[k]
+    if bj != k:
+        for row in work:
+            row[k], row[bj] = row[bj], row[k]
+    return v, bi, bj
+
+
 def smith_form(M: PadicMatrix) -> SmithForm:
-    """Smith-style reduction with minimal-valuation pivoting.
+    """Smith-style reduction of M cut to N = M.precision, with least-valuation
+    pivoting; PrecisionError for N < 1, where the identity has no digit.
 
-    The loop eliminates only the work matrix, on kernel entries (coeffs,
-    shift, N, v) of ``_normal``: each update is one ``_fused`` step, and a
-    pivot is inverted once, only if an entry needs clearing, and that
-    inverse is kept.  The clearing factor e / pivot has the quotient's
-    precision, which 1/pivot may lack, so each entry equals the element
-    fold x - (e / pivot) * y and every PrecisionError is raised where it
-    would.  A zero entry x of the pivot row or column is known only mod
-    p^N_x, so it is cleared too, by the zero factor x / pivot at precision
-    N_x - v: its updates only cap precisions, and skipping them would give
-    the transforms digits that M does not determine.
+    At one precision every zero is O(p^N) and every exact valuation is
+    below N, so the least-valuation pivot is sound: a lift of M within
+    O(p^N) has the same divisors, and they are ``certified_rank``'s.  The
+    loop runs on the rank kernel's integers, p^S * M mod p^(N+S) from
+    ``_flat``, with its pivots p^v * u (v at coefficient level, u a unit)
+    from ``_pivot``.  An entry e of the pivot's column or row is cleared by
+    the factor c = (e / p^v) * u^-1 mod p^(N+S-v), integral as v is least;
+    u^-1 is computed once, only if an entry needs clearing, and 1/pivot is
+    kept.  Row i <- row i - c * row k stays exact mod p^(N+S), since every
+    entry of row k has valuation >= v, which makes c's error vanish.  The
+    rows below are then zero in the pivot column, so clearing the pivot
+    row's columns changes no other row; the pivot's row and column are not
+    read again.
 
-    Each step is recorded as (k, row swap, column swap, row factors, column
-    factors), and a transform is built on first read by ``_replay``.  No
-    replay raises.  Every factor e / pivot is integral, as the pivot has the
-    least valuation in its block, and it has a digit, or the elimination
-    would have raised.  So from the identity at N = M.precision >= 1 every
-    transform entry stays integral with precision >= 1, and no product of
-    two such entries falls below one digit.  Every PrecisionError is thus
-    raised here, where the caller's ``try`` sees it; for an M built with
-    entries of precision < 1 the transforms are built here.
+    Each factor is recorded as the kernel entry of the quotient e / pivot,
+    c at precision N - (v - S), zero there for a zero e, in the step (k, row
+    swap, column swap, row factors, column factors).  A transform is built
+    on first read by ``_replay``, from the identity at N, so L*M*R = D mod
+    p^N and each transform entry keeps the precision that its products cap
+    it at.  Every factor is integral with a digit, so every transform entry
+    stays integral with precision >= 1, and no replay raises.
     """
-    f = M.field
+    f, p = M.field, M.field.p
     r, c = M.nrows, M.ncols
     N = M.precision
-    work = [[(e.coeffs, e.shift, e.abs_precision, e._v) for e in row] for row in M.rows]
-    one = _normal(f.p, [1] + [0] * (f.m - 1), 0, N)
-    zero = _normal(f.p, [0] * f.m, 0, N)
+    if N < 1:
+        raise PrecisionError("matrix has no significant digits")
+    S, work = _flat(p, [[(e.coeffs, e.shift) for e in row] for row in M.rows], N)
+    mod = p ** (N + S)
     divisors, pivots, inverses, steps = [], [], [], []
     for k in range(min(r, c)):
-        # the first entry of least valuation, in row-major order
-        best = min(((row[j][3], i, j) for i, row in enumerate(work[k:], k)
-                    for j in range(k, c) if row[j][3] is not None), default=None)
-        if best is None:
+        found = _pivot(p, work, k)
+        if found is None:
             break
-        v, bi, bj = best
-        if bi != k:
-            work[k], work[bi] = work[bi], work[k]
-        if bj != k:
-            for row in work:
-                row[k], row[bj] = row[bj], row[k]
+        v, bi, bj = found
         wk = work[k]
-        pivot, pinv = wk[k], None  # inverted once, and only if an entry needs clearing
-        if any(row[k][3] is not None for row in work[k + 1:]) or any(
-                e[3] is not None for e in wk[k + 1:]):
-            pinv = (*_inverse(f, *pivot), -pivot[3])
-        row_fcts, col_fcts = [], []
-        for wi in work[k + 1:]:
-            fct = (_zero_quotient(zero, wi[k][2] - v) if wi[k][3] is None
-                   else _times(f, wi[k], pinv))
-            row_fcts.append(fct)
-            for j in range(k, c):
-                wi[j] = _fused(f, wi[j], fct, wk[j], -1)
-        for j in range(k + 1, c):
-            fct = (_zero_quotient(zero, wk[j][2] - v) if wk[j][3] is None
-                   else _times(f, wk[j], pinv))
-            col_fcts.append(fct)
-            for row in work:
-                row[j] = _fused(f, row[j], row[k], fct, -1)
+        n, pv = N + S - v, p ** v  # n: the digits of every factor
+        cleared = [wi[k] for wi in work[k + 1:]] + wk[k + 1:]
+        pinv = None
+        if any(map(any, cleared)):
+            uinv = _unit_inverse(f, [x // pv for x in wk[k]], n)
+            # 1/pivot = p^-v * (p^S * u^-1), at precision N - 2(v - S)
+            pinv = _normal(p, [x * p ** S for x in uinv], v, n + S - v)
+        nil = _normal(p, [0] * f.m, 0, n)
+        fcts = [_normal(p, _mul_coeffs(f, [x // pv for x in e], uinv), 0, n) if any(e) else nil
+                for e in cleared]
+        row_fcts, col_fcts = fcts[:r - k - 1], fcts[r - k - 1:]
+        for wi, fct in zip(work[k + 1:], row_fcts):
+            if fct[3] is not None:
+                for j in range(k + 1, c):
+                    wi[j] = [(a - b) % mod for a, b in zip(wi[j], _mul_coeffs(f, fct[0], wk[j]))]
         steps.append((k, bi, bj, row_fcts, col_fcts))
-        divisors.append(v)
-        pivots.append(PadicElement(f, *pivot))
+        divisors.append(v - S)
+        pivots.append(PadicElement(f, wk[k], S, N))
         inverses.append(pinv)
     divisors += [AtLeast(N)] * (min(r, c) - len(divisors))
+    one = _normal(p, [1] + [0] * (f.m - 1), 0, N)
+    zero = _normal(p, [0] * f.m, 0, N)
 
     def build(name):
         cols = name[0] == "R"
         T = _replay(f, c if cols else r, steps, cols, name.endswith("inv"), one, zero)
         return PadicMatrix(f, T if name in ("L", "Rinv") else zip(*T))
 
-    sf = SmithForm(divisors, pivots, build, inverses)
-    if N < 1:  # the identity has no digit, so a replay may raise: build here
-        for name in ("L", "Linv", "R", "Rinv"):
-            getattr(sf, name)
-    return sf
+    return SmithForm(divisors, pivots, build, inverses)
 
 
 def rank_below(divisors, threshold):
@@ -1034,52 +1052,29 @@ def _int_divisors(f, rows, N):
     """The certified divisors, at the one precision N, of the matrix over
     ``f`` whose entries are given as (coeffs, shift): the rank kernel.
 
-    Each entry x = p^-shift * sum coeffs[i] w^i becomes the coefficient
-    list of p^S * x mod (modulus, p^(N+S)), S the largest shift; an entry
-    known to more than N digits is cut to N, and dropping digits never
-    certifies more.  The pivot is the first entry of least valuation v in
-    row-major order, with ``smith_form``'s row and column swaps.  A pivot
-    p^v * u clears each entry e below it without any division:
-    row_i <- u * row_i - (e / p^v) * row_k, mod p^(N+S), where e / p^v is
-    integral as v is least.  That is u times the update by the factor
-    (e / p^v) * u^-1 of an elimination that divides, mod p^(N+S): every
-    entry of row k has valuation >= v, so the factor's error, a multiple
-    of p^(N+S-v), vanishes there.  u is a unit of Z[w]/(modulus), the
-    modulus being irreducible mod p, so a row times u keeps the valuation
-    of every entry, and by induction each row stays a unit multiple of
-    that elimination's row.  The pivots, swaps and divisors are therefore
-    the same, each entry stays at precision N, as in ``smith_form`` at one
-    flat precision, and no entry is ever too coarse to clear.  Clearing the
-    pivot row only zeroes its entries (the other rows are zero in the pivot
-    column), so it is skipped.  Returns v - S per pivot, each below N, then
-    AtLeast(N).
+    It eliminates ``_flat``'s p^S * M mod p^(N+S) with ``smith_form``'s
+    pivots (``_pivot``), but without any division: a pivot p^v * u clears
+    each entry e below it by row_i <- u * row_i - (e / p^v) * row_k, mod
+    p^(N+S).  That is u times ``smith_form``'s update by the factor
+    (e / p^v) * u^-1.  u is a unit of Z[w]/(modulus), the modulus being
+    irreducible mod p, so a row times u keeps the valuation of every entry,
+    and by induction each row stays a unit multiple of that elimination's
+    row.  The pivots, swaps and divisors are therefore the same, and no
+    entry is ever too coarse to clear.  Clearing the pivot row only zeroes
+    its entries (the other rows are zero in the pivot column), so it is
+    skipped.  Returns v - S per pivot, each below N, then AtLeast(N).
     """
     p = f.p
-    S = max((s for row in rows for _, s in row), default=0)
+    S, work = _flat(p, rows, N)
     mod = p ** (N + S)
-    work = [[[x * p ** (S - s) % mod for x in coeffs] for coeffs, s in row] for row in rows]
     r = len(work)
     c = len(work[0]) if r else 0
     divisors = []
     for k in range(min(r, c)):
-        # the first entry of least valuation, in row-major order
-        v = None
-        for i in range(k, r):
-            for j, x in enumerate(work[i][k:], k):
-                w = _valuation(p, x)
-                if w is not None and (v is None or w < v):
-                    v, bi, bj = w, i, j
-                    if not w:
-                        break
-            if v == 0:
-                break
-        if v is None:
+        found = _pivot(p, work, k)
+        if found is None:
             break
-        if bi != k:
-            work[k], work[bi] = work[bi], work[k]
-        if bj != k:
-            for row in work:
-                row[k], row[bj] = row[bj], row[k]
+        v = found[0]
         wk = work[k]
         pv = p ** v
         u = [x // pv for x in wk[k]]

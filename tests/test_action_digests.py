@@ -3,7 +3,11 @@ point with both filtrations of its image, iota(d) on both models, and the
 field embedding of iota's entries and of d's coefficients, divided by p or
 at half the precision.  Each digest covers the coefficients, shift and
 precision of every entry, so the bytes of these outputs cannot change
-unnoticed."""
+unnoticed.  A change that means to alter them regenerates the stored file,
+with every digest recomputed from this checkout's ``src``:
+
+    python tools/action_digests.py > tests/action_digests.json
+"""
 
 import hashlib
 import json

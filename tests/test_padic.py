@@ -56,7 +56,11 @@ from padicperiods.periods import (
     random_point,
 )
 
-from rank_checks import assert_rank_divisors, cut
+
+def cut(M, N):
+    """M with every entry cut to precision N."""
+    return PadicMatrix(M.field, [[M.field.from_coeffs(e.coeffs, N, e.shift) for e in row]
+                                 for row in M.rows])
 
 
 class TestFieldConstruction:
@@ -365,14 +369,11 @@ class TestSharedElimination:
     @settings(max_examples=150, deadline=None)
     @given(elimination_inputs())
     def test_rank_only_divisors_match_smith_form(self, M):
-        N = M.precision
-        rank, divisors = certified_rank(M)  # the kernel never raises
-        try:
-            sf = smith_form(M)
-        except PrecisionError:  # then the kernel ranks M cut to N
-            sf = smith_form(cut(M, N))
-        assert_rank_divisors(divisors, sf.divisors, N)
-        assert rank == rank_below(sf.divisors, N)
+        # one pivot rule: both eliminate M cut to M.precision
+        rank, divisors = certified_rank(M)
+        sf = smith_form(M)
+        assert divisors == sf.divisors
+        assert rank == sf.rank == rank_below(sf.divisors, M.precision)
 
     @settings(max_examples=60, deadline=None)
     @given(elimination_inputs(square_corank_one=True))
@@ -406,16 +407,17 @@ class TestSharedElimination:
         assert all(_same_element(x, y) for x, y in zip(g.normal, h.normal))
 
     def test_zero_below_a_pivot_caps_the_kernel_covector(self):
-        # the elimination leaves 0 + O(2^9) below the pivot 12(1 + w), so
-        # the factor 0 / pivot is known mod 2^7 only, and so is the
-        # covector's last entry, -128: a claim of 2^8 excludes the kernel
+        # X is cut to its precision 8, and the elimination leaves 0 + O(2^8)
+        # below the pivot 12(1 + w) of valuation 2, so the factor 0 / pivot
+        # is known mod 2^6 only, and so is the covector's last entry, -128:
+        # a claim of 2^8 excludes the kernel
         X = _zero_in_pivot_column()
         pm = from_matrix(X)
         assert pm.divisors == [-3, -1, 2, AtLeast(8)]
         normal = fil_G(pm).normal
         kernel = [0, 0, 1, -128]
         assert all((x - k).is_zero_at_precision() for x, k in zip(normal, kernel))
-        assert normal[3].abs_precision == 7
+        assert normal[3].abs_precision == 6
 
 
 @st.composite
@@ -920,6 +922,11 @@ def _reference_smith(M):
     return divisors, pivots, (L, Linv, R, Rinv)
 
 
+def _reference_smith_cut(M):
+    """_reference_smith of M cut to M.precision: smith_form(M)'s contract."""
+    return _reference_smith(cut(M, M.precision))
+
+
 SCALAR_DEGREES = [1, 2, 3, 6]  # Q_2, Q_4, Q_8, Q_64
 
 
@@ -1023,22 +1030,18 @@ def _same_rows(ref, got):
 
 
 def _check_reduce_against_reference(M, order=TRANSFORMS):
-    """smith_form(M) equals _reference_smith(M) field by field, or both
+    """smith_form(M) equals _reference_smith_cut(M) field by field, or both
     raise PrecisionError; every exact divisor is the valuation of its pivot,
     read from the pivot's coefficients.  The transforms are read in
     ``order``, and each one alone from a fresh form: they are built on
     first read, and no order may change them.  certified_rank(M) gives the
-    reference's divisors of M cut to N = M.precision, types included, and
-    of M itself the ones below N, AtLeast(N) for the others."""
-    N = M.precision
+    same divisors, types included (an AtLeast is never equal to an int)."""
     _, divisors = certified_rank(M)
-    assert_rank_divisors(divisors, _reference_smith(cut(M, N))[0], N)
-    out = _same_outcome(_reference_smith, smith_form, M)
+    out = _same_outcome(_reference_smith_cut, smith_form, M)
     if out is None:
         return
     (div, piv, mats), sf = out
-    assert sf.divisors == div
-    assert [type(d) for d in sf.divisors] == [type(d) for d in div]
+    assert sf.divisors == div == divisors
     assert all(_same_element(x, y) for x, y in zip(sf.pivots, piv, strict=True))
     ref = dict(zip(TRANSFORMS, mats, strict=True))
     for name in order:
@@ -1046,14 +1049,13 @@ def _check_reduce_against_reference(M, order=TRANSFORMS):
     for name in TRANSFORMS:
         assert _same_rows(ref[name], getattr(smith_form(M), name))
     assert [_plain_valuation(x) for x in sf.pivots] == [d for d in div if is_exact(d)]
-    assert_rank_divisors(divisors, div, N)
 
 
 def _reference_matrix_inverse(M):
-    """R * D^-1 * L from _reference_smith, by element inverses of the
+    """R * D^-1 * L from _reference_smith_cut, by element inverses of the
     pivots and dense folds of element products."""
     f, n = M.field, M.nrows
-    div, piv, (L, _, R, _) = _reference_smith(M)
+    div, piv, (L, _, R, _) = _reference_smith_cut(M)
     if not all(is_exact(d) for d in div):
         raise ZeroDivisionError("matrix not invertible at precision")
     Dinv = PadicMatrix.zero(f, n, n, M.precision)
@@ -1159,9 +1161,9 @@ class TestQpScalars:
     @settings(max_examples=300, deadline=None)
     @given(coarse_matrices())
     def test_every_returned_form_builds_its_transforms(self, M):
-        # smith_form raises exactly where the eager reference does, and a
-        # form it returns builds every transform without raising
-        out = _same_outcome(_reference_smith, smith_form, M)
+        # smith_form raises exactly where the eager reference of the cut M
+        # does, and a form it returns builds every transform without raising
+        out = _same_outcome(_reference_smith_cut, smith_form, M)
         for name in TRANSFORMS if out else ():
             getattr(out[1], name)
 
@@ -1173,14 +1175,15 @@ class TestQpScalars:
             assert _same_rows(out[0].rows, out[1])
 
     def test_entry_without_digits_raises_inside_smith_form(self):
-        # the elimination never clears the O(2^0), so it does not raise, but
-        # the transforms start from the identity at M.precision = 0
+        # at M.precision = 0 the identity has no digit: smith_form raises on
+        # entry, and the eager reference at its first transform update
         f = make_field_cached(2, 2, PREC)
         M = PadicMatrix.from_ints(f, [[1, 0, 0], [1, 0, 0], [0, 0, 0]])
         M.rows[2][2] = f.zero(0)
-        for reduce in (_reference_smith, smith_form):
-            with pytest.raises(PrecisionError, match="product has no significant digits"):
-                reduce(M)
+        with pytest.raises(PrecisionError, match="matrix has no significant digits"):
+            smith_form(M)
+        with pytest.raises(PrecisionError, match="product has no significant digits"):
+            _reference_smith(M)
 
     def test_inverse_where_only_the_kept_inverse_lacks_digits(self):
         # 2/2 = 1 + O(2) clears the column at N = 2, but 1/2 has no digit
@@ -1189,12 +1192,13 @@ class TestQpScalars:
         assert smith_form(M).divisors == [1, 1]
         with pytest.raises(PrecisionError, match="inverse has no significant digits"):
             M.inverse()
-        # here the last pivot, 4 + O(2^10), has an inverse, and the kept
-        # inverse of 2 + O(2^2) alone has no digit
+        # at one precision no later pivot has a smaller valuation, so none
+        # has an inverse digit that a kept inverse lacks: cut to 2, the
+        # 4 + O(2^10) beside 2 + O(2^2) is zero, and M is singular there
         g = make_field_cached(2, 1, PREC)
         M = PadicMatrix(g, [[g.from_int(2, 2), g.zero(10)], [g.from_int(2, 10), g.from_int(4, 10)]])
-        assert smith_form(M).divisors == [1, 2]
-        with pytest.raises(PrecisionError, match="inverse has no significant digits"):
+        assert smith_form(M).divisors == certified_rank(M)[1] == [1, AtLeast(2)]
+        with pytest.raises(ZeroDivisionError, match="matrix not invertible at precision"):
             M.inverse()
         inv = PadicMatrix.from_ints(f, [[2, 2], [2, 0]], 4).inverse()
         half = f.from_coeffs([1], 2, 1)
@@ -1208,13 +1212,13 @@ class TestQpScalars:
             x.inverse()
         M = PadicMatrix(f, [[zero, zero], [zero, x]])
         sf = smith_form(M)
-        assert sf.divisors == _reference_smith(M)[0] == [3, AtLeast(4)]
+        assert sf.divisors == _reference_smith_cut(M)[0] == [3, AtLeast(4)]
         assert _same_element(sf.pivots[0], x)
         assert sf.pivots_invertible
         # 8 needs clearing: 8 / 8 = 1 + O(2^1) has a digit that 1/8 lacks
         N = PadicMatrix(f, [[x, x]])
         assert _same_element(x / x, f.one(1))
-        assert smith_form(N).divisors == _reference_smith(N)[0] == [3]
+        assert smith_form(N).divisors == _reference_smith_cut(N)[0] == [3]
         assert not smith_form(N).pivots_invertible
         assert certified_rank(N) == (1, [3])
 
@@ -1530,6 +1534,31 @@ def test_from_ints_builds_one_element_per_integer():
     assert z is z1 is z2 and one is not z
     assert z.is_zero_at_precision() and one.approx_equal(f.one())
     assert z.abs_precision == one.abs_precision == PREC
+
+
+class TestMatricesWithoutEntries:
+    """A matrix with no entry has the field's precision, so every routine
+    takes it: the 0 x 0 matrix has charpoly 1, determinant valuation 0 and
+    the empty inverse, and an n x 0 matrix has rank 0."""
+
+    def test_zero_by_zero(self, Q4):
+        E = PadicMatrix(Q4, [])
+        assert E.precision == Q4.precision
+        (a0,) = charpoly(E)
+        assert a0.approx_equal(Q4.one()) and a0.abs_precision == Q4.precision
+        assert certified_rank(E) == (0, [])
+        assert E.det_valuation() == 0
+        assert E.inverse().rows == []
+        sf = smith_form(E)
+        assert sf.divisors == [] and sf.L.rows == sf.R.rows == []
+
+    def test_rows_without_columns(self, Q2):
+        Z = PadicMatrix(Q2, [[], [], []])
+        assert Z.precision == Q2.precision
+        assert certified_rank(Z) == (0, [])
+        sf = smith_form(Z)
+        assert sf.divisors == [] and sf.R.rows == []
+        assert sf.L.approx_equal(PadicMatrix.identity(Q2, 3))
 
 
 class TestSaturate:
@@ -1883,32 +1912,45 @@ class TestFindModulus:
             assert _code(_find_modulus(p, m)[:-1], p) < start + 4 * m, m
 
 
+def _mixed_precision_transforms():
+    """Over Q_2, at entry precisions 8 to 17: cut to 8, its divisors are
+    [0, 1, AtLeast(8)].  Transforms eliminated at the entries' own
+    precisions keep digits that M does not determine, and (L*M)*R and
+    L*(M*R) then differ at (3, 2): 2048 + O(2^13) against 0 + O(2^9)."""
+    f = make_field_cached(2, 1, PREC)
+    x = f.from_int
+    return PadicMatrix(f, [[x(2, 8), x(0, 10), x(2048, 13)], [x(2, 8), x(0, 10), x(0, 13)],
+                           [x(0, 8), x(0, 10), x(0, 17)], [x(1, 8), x(1, 10), x(0, 10)]])
+
+
 class TestKernelNormalForms:
     """Every element that smith_form returns is stored as the elimination
     holds it, without ``_normal`` again, so each must already be normal."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(coarse_matrices(), sparse_matrices(), elimination_inputs()))
+    @example(_mixed_precision_transforms())
     def test_transforms_and_pivots_are_normal_forms(self, M):
         try:
             sf = smith_form(M)
         except PrecisionError:
             assume(False)
-        f, r, c = M.field, M.nrows, M.ncols
+        f, r, c, N = M.field, M.nrows, M.ncols, M.precision
         L, Linv, R, Rinv = (getattr(sf, name) for name in TRANSFORMS)
         for x in itertools.chain(sf.pivots, *L.rows, *Linv.rows, *R.rows, *Rinv.rows):
             form = (x.coeffs, x.shift, x.abs_precision, x._v)
             assert padic._normal(f.p, *form[:3]) == form
         assert (L * Linv).approx_equal(PadicMatrix.identity(f, r))
         assert (R * Rinv).approx_equal(PadicMatrix.identity(f, c))
-        # every transform entry is integral with a digit; an entry of M of
-        # negative valuation can leave L*M*R none, so D is checked on
-        # integral M, zeros and mixed precisions included
+        # L*M*R = D mod p^N, in either order of the products: each entry
+        # agrees with D to N digits, or to all of its own where a transform
+        # entry capped it lower.  Every transform entry is integral with a
+        # digit; an entry of M of negative valuation can leave L*M*R none,
+        # so D is checked on integral M, zeros and mixed precisions included
         if all(x.is_integral() for row in M.rows for x in row):
-            D = L * M * R
-            for i in range(r):
-                for j in range(c):
-                    if i == j and i < sf.rank:
-                        assert D.rows[i][i].approx_equal(sf.pivots[i])
-                    else:
-                        assert D.rows[i][j].is_zero_at_precision()
+            for D in (L * M * R, L * (M * R)):
+                for i in range(r):
+                    for j in range(c):
+                        d = f.zero(N) if i != j or i >= sf.rank else sf.pivots[i]
+                        v = (D.rows[i][j] - d).valuation()
+                        assert not is_exact(v) or v >= N

@@ -332,19 +332,19 @@ class TestRandomPoint:
         assert rank == 2
 
     def test_precision_error_candidate_is_skipped(self, monkeypatch):
-        # at precision 2 this seed first draws a candidate whose inverse has no digits
+        # the first candidate raises, as one whose inverse has no digits
+        # does, and the sampler draws the next
         rejected = []
 
         def spy(X):
-            try:
-                return from_matrix(X)
-            except PrecisionError as exc:
-                rejected.append(exc)
-                raise
+            if not rejected:
+                rejected.append(X)
+                raise PrecisionError("inverse has no significant digits")
+            return from_matrix(X)
 
         monkeypatch.setattr(periods, "from_matrix", spy)
         pm = random_point(2, make_field_cached(2, 2, 2), 14)
-        assert rejected
+        assert len(rejected) == 1 and pm.X is not rejected[0]
         assert certified_rank(pm.X)[0] == 1
         assert omega_membership(fil_G(pm)).in_omega
 

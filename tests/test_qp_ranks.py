@@ -30,7 +30,6 @@ from padicperiods.periods import (
     random_point,
 )
 
-from rank_checks import assert_rank_divisors, cut
 
 FIELD_PREC = 16
 
@@ -92,23 +91,27 @@ def _zero_beside_32():
     return PadicMatrix(f, [[f.zero(2), f.from_int(32, 10)]])
 
 
+def _coarse_zero_below_32():
+    """[[32 + O(2^10), 0 + O(2^10)], [0 + O(2^10), O(2^2)]] over Q_2 (ROADMAP
+    2(b)): 32 is zero at M.precision = 2, and the lift [[32, 0], [0, 4]]
+    has the divisors [2, 5]."""
+    f = make_field_cached(2, 1, FIELD_PREC)
+    return PadicMatrix(f, [[f.from_int(32, 10), f.zero(10)], [f.zero(10), f.zero(2)]])
+
+
 class TestIntegerPath:
-    """certified_rank, with and without w-parts, against smith_form: the
-    same divisors field by field at one precision; at mixed precisions the
-    same divisors below M.precision and AtLeast(M.precision) for the others."""
+    """certified_rank, with and without w-parts, against smith_form: both
+    eliminate M cut to M.precision, so the divisors are the same, field by
+    field, at one precision and at mixed precisions."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(qp_matrices(), qp_matrices(w_part=True)))
     def test_matches_element_elimination(self, M):
-        N = M.precision
         with mock.patch.object(padic, "smith_form", side_effect=AssertionError("smith_form ran")):
             rank, divisors = certified_rank(M)  # a rank builds no Smith form
-        try:
-            ref = smith_form(M).divisors
-        except PrecisionError:  # then the kernel ranks M cut to N
-            ref = smith_form(cut(M, N)).divisors
-        assert_rank_divisors(divisors, ref, N)
-        assert rank == _reference_rank(ref, N)
+        ref = smith_form(M).divisors
+        assert divisors == ref
+        assert rank == _reference_rank(ref, M.precision)
 
     def test_shifted_entries(self):
         """1/2 and 1/4 over Q_2 at N = 3: the kernel ranks 4M and subtracts 2;
@@ -129,11 +132,18 @@ class TestIntegerPath:
 
     def test_mixed_precision_divisor_is_not_certified(self):
         """The lift [[4 + O(2^4), 32 + O(2^20)]] of _zero_beside_32 has the
-        divisor 2, not 5."""
+        divisor 2, not 5.  smith_form too cuts M to M.precision = 2, where
+        32 is zero, so neither it nor the rank kernel certifies a divisor
+        of that example or of _coarse_zero_below_32, which at its entries'
+        own precisions would give [5, AtLeast(2)], not even non-decreasing."""
         f = make_field_cached(2, 1, FIELD_PREC)
         lift = PadicMatrix(f, [[f.from_int(4, 4), f.from_int(32, 20)]])
         assert certified_rank(_zero_beside_32()) == (0, [AtLeast(2)])
         assert certified_rank(lift) == (1, [2])
+        for M, expected in ((_zero_beside_32(), [AtLeast(2)]),
+                            (_coarse_zero_below_32(), [AtLeast(2), AtLeast(2)])):
+            assert smith_form(M).divisors == certified_rank(M)[1] == expected
+        assert smith_form(PadicMatrix.from_ints(f, [[32, 0], [0, 4]], 10)).divisors == [2, 5]
 
 
 @st.composite
@@ -197,13 +207,12 @@ def _lift_matrix(M, seed):
     return PadicMatrix(M.field, [[_lift(e, rng) for e in row] for row in M.rows])
 
 
-def _check_lift_sound(M, seed):
+def _check_lift_sound(M, seed, divisors_of=lambda A: certified_rank(A)[1]):
     N = M.precision
     lifted = _lift_matrix(M, seed)
     assert lifted.precision == 2 * N
-    rank, divisors = certified_rank(M)
-    _, divisors2 = certified_rank(lifted)
-    assert rank_below(divisors2, N) == rank
+    divisors, divisors2 = divisors_of(M), divisors_of(lifted)
+    assert rank_below(divisors2, N) == rank_below(divisors, N)
     for d, d2 in zip(divisors, divisors2):
         if is_exact(d):
             assert d2 == d
@@ -232,6 +241,13 @@ class TestLiftSoundness:
             e = M.rows[0][0]
             M.rows[0][0] = M.field.from_coeffs([1, 1], e.abs_precision)  # force a w-part
         _check_lift_sound(M, seed)
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.one_of(qp_matrices(), qp_matrices(w_part=True)), st.integers(0, 2 ** 32))
+    @example(_coarse_zero_below_32(), 3)  # the lift has -4 + O(2^4) for O(2^2): [2, 5]
+    def test_smith_form_divisors(self, M, seed):
+        """ROADMAP 2(c): smith_form's divisors, at one precision or mixed."""
+        _check_lift_sound(M, seed, lambda A: smith_form(A).divisors)
 
     @settings(max_examples=300, deadline=None)
     @given(normals(), st.integers(0, 2 ** 32))

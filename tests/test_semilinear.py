@@ -175,6 +175,15 @@ class TestAdmissibility:
         rep = weak_admissibility_sample(FilteredIsocrystal(iso, fil), lines)
         assert all(ok for _, _, _, ok in rep.sub_reports)
 
+    def test_zero_dimensional_sub_object(self, Q4):
+        # the 2 x 0 span is the zero sub-object: no slopes, so t_N = 0, and
+        # it meets the filtration in dimension t_H = 0
+        assert newton_slopes(Isocrystal(Q4, 0, PadicMatrix(Q4, []))) == []
+        iso = Isocrystal(Q4, 2, PadicMatrix.identity(Q4, 2))
+        fil = PadicMatrix(Q4, [[Q4.one()], [Q4.generator()]])
+        rep = weak_admissibility_sample(FilteredIsocrystal(iso, fil), [PadicMatrix(Q4, [[], []])])
+        assert rep.sub_reports == [(0, 0, 0, True)]
+
     def test_unstable_subspace_rejected(self, Q2):
         iso = Isocrystal(Q2, 2, phi_matrix(2, precision=16))
         S = PadicMatrix.from_ints(Q2, [[1], [0]])
