@@ -178,46 +178,6 @@ def _prime_factors(m):
     return {q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)}
 
 
-def _poly_inverse(a, f, p, M):
-    """Inverse of a modulo (f, p^M) for monic f; a must be a unit (nonzero residue).
-
-    Solves a*z = 1 mod p^M on the matrix whose column j is a*x^j mod f:
-    forward elimination clears each column below its pivot, the first row
-    with an entry prime to p, updating only the columns right of it and the
-    right-hand side; back substitution then uses the kept pivot inverses.
-    A unit's matrix is invertible mod p, so each column has such a pivot.
-    """
-    m, mod = len(f) - 1, p ** M
-    col, cols = [x % mod for x in a] + [0] * (m - len(a)), []
-    for _ in range(m - 1):
-        cols.append(col)
-        col = [(c - col[-1] * fc) % mod for c, fc in zip([0] + col[:-1], f)]  # x * col
-    cols.append(col)
-    rows = [list(row) for row in zip(*cols)]
-    z = [1] + [0] * (m - 1)  # the right-hand side, solved in place
-    invs = []
-    for k in range(m):
-        if not rows[k][k] % p:
-            piv = next((i for i in range(k + 1, m) if rows[i][k] % p), None)
-            if piv is None:
-                raise ZeroDivisionError("not a unit")
-            rows[k], rows[piv] = rows[piv], rows[k]
-            z[k], z[piv] = z[piv], z[k]
-        rk, zk = rows[k], z[k]
-        inv = pow(rk[k], -1, mod)
-        invs.append(inv)
-        right = rk[k + 1:]
-        for i in range(k + 1, m):
-            row = rows[i]
-            if row[k]:
-                c = row[k] * inv % mod
-                row[k + 1:] = [(x - c * y) % mod for x, y in zip(row[k + 1:], right)]
-                z[i] = (z[i] - c * zk) % mod
-    for k in range(m - 1, -1, -1):
-        z[k] = (z[k] - sum(map(int.__mul__, rows[k][k + 1:], z[k + 1:]))) * invs[k] % mod
-    return _poly_trim(z)
-
-
 # ---------------------------------------------------------------------------
 # field descriptors
 
@@ -270,41 +230,132 @@ class FieldDescriptor:
         return _frobenius_image(self.p, list(self.modulus), min_precision)
 
     @cached_property
+    def _folds(self):
+        """{(k, i): c_ki} for the nonzero c_ki of w^k = sum_i c_ki w^i mod
+        the modulus over Z, m <= k <= 2m-2: the one fold table of the
+        generated kernels."""
+        m, f = self.m, self.modulus
+        folds, cur = {}, [-c for c in f[:m]]  # w^m
+        for k in range(m, 2 * m - 1):
+            folds.update(((k, i), c) for i, c in enumerate(cur) if c)
+            cur = [c - cur[-1] * fc for c, fc in zip([0] + cur[:-1], f)]  # w * cur
+        return folds
+
+    @cached_property
     def product_kernel(self):
         """(a, b) -> a*b in Z[w]/(modulus) over Z, for two m-coefficient
         lists: one straight-line function generated for this modulus.
 
         It unpacks a0..a(m-1) and b0..b(m-1), forms each high term
         h_k = sum_{i+j=k} a_i b_j (m <= k <= 2m-2) once, and returns the m
-        sums of the low terms and h_k * c_ki, where w^k = sum_i c_ki w^i mod
-        the modulus over Z.  A zero c_ki is left out and c_ki = +-1 adds or
-        subtracts h_k; every other c_ki is a name bound in the function's
-        globals, so no constant is written into the source as a literal.
+        sums of the low terms and h_k * c_ki, from the fold table
+        (``_entry_source`` writes both).
         """
-        m, f = self.m, self.modulus
-        consts, cur = {}, [-c for c in f[:m]]  # w^m
-        for k in range(m, 2 * m - 1):
-            consts.update((f"c{k}_{i}", c) for i, c in enumerate(cur) if c)
-            cur = [c - cur[-1] * fc for c, fc in zip([0] + cur[:-1], f)]  # w * cur
+        m = self.m
+        lines, coeffs = _entry_source(m, self._folds, [("+", "a", "b", "dense")], False)
+        return self._compile("product_kernel(a, b)", [
+            f"{_unpack('a', m)} = a", f"{_unpack('b', m)} = b", *lines, f"return {coeffs}"])
 
-        def term(k):  # the schoolbook coefficient of w^k
-            return " + ".join(f"a{i} * b{k - i}" for i in range(max(0, k - m + 1), min(k, m - 1) + 1))
+    @cached_property
+    def row_kernel(self):
+        """(u, q, X, Y, mod) -> [u*x - q*y mod ``mod`` for x, y in zip(X,
+        Y)]: the row update of both eliminations on m-coefficient lists,
+        one straight-line function generated for this modulus.
 
-        def fold(k, i):
-            c = consts.get(f"c{k}_{i}", 0)
-            return ("" if c == 0 else f" + h{k}" if c == 1 else f" - h{k}" if c == -1
-                    else f" + h{k} * c{k}_{i}")
+        Each product keeps ``_mul_coeffs``'s rule: a factor in Q_p (no
+        w-part) only scales the other, in O(m), and two factors with
+        w-parts multiply in full.  u and q are tested once per row, x and y
+        once per entry; when both products are full, their high terms are
+        added before the one fold.  The integers are those of
+        ``_mul_coeffs`` reduced mod ``mod``, whichever branch runs.
+        """
+        m = self.m
 
-        high = range(m, 2 * m - 1)
-        src = "".join([
-            "def kernel(a, b):\n",
-            f"    {''.join(f'a{i}, ' for i in range(m))}= a\n",
-            f"    {''.join(f'b{i}, ' for i in range(m))}= b\n",
-            *(f"    h{k} = {term(k)}\n" for k in high),
-            f"    return [{', '.join(term(i) + ''.join(fold(k, i) for k in high) for i in range(m))}]\n",
-        ])
-        exec(src, consts)
-        return consts["kernel"]
+        def entry(ux, qy):
+            lines, coeffs = _entry_source(
+                m, self._folds, [("+", "u", "x", ux), ("-", "q", "y", qy)], True)
+            return [*lines, f"out.append({coeffs})"]
+
+        head = "row_kernel(u, q, X, Y, mod)"
+        rows = f"({_unpack('x', m)}), ({_unpack('y', m)}) in zip(X, Y)"
+        body = [f"{_unpack('u', m)} = u", f"{_unpack('q', m)} = q"]
+        scale = _entry_source(
+            m, self._folds, [("+", "u", "x", "left"), ("-", "q", "y", "left")], True)[1]
+        if m == 1:  # every factor lies in Q_p
+            return self._compile(head, body + [f"return [{scale} for {rows}]"])
+        wide = {x: " or ".join(f"{x}{i}" for i in range(1, m)) for x in "uqxy"}  # a w-part
+        body += [
+            f"ud = {wide['u']}",
+            f"qd = {wide['q']}",
+            "if not (ud or qd):",
+            f"    return [{scale} for {rows}]",
+            "out = []",
+            f"for {rows}:",
+            f"    if ud and ({wide['x']}):",
+            f"        if qd and ({wide['y']}):",
+            *(" " * 12 + line for line in entry("dense", "dense")),
+            "        else:",
+            *(" " * 12 + line for line in entry("dense", "either")),
+            f"    elif qd and ({wide['y']}):",
+            *(" " * 8 + line for line in entry("either", "dense")),
+            "    else:",
+            *(" " * 8 + line for line in entry("either", "either")),
+            "return out",
+        ]
+        return self._compile(head, body)
+
+    def _compile(self, head, body):
+        """The function ``head`` with these body lines, its globals the fold
+        constants c_ki; its source is named after the field, so tracebacks
+        and profiles tell the kernels of different fields apart."""
+        names = {f"c{k}_{i}": c for (k, i), c in self._folds.items()}
+        source = "".join([f"def {head}:\n", *(f"    {line}\n" for line in body)])
+        exec(compile(source, f"<kernels of Q_{self.p}^{self.m}>", "exec"), names)
+        return names[head[:head.index("(")]]
+
+
+def _unpack(name, m):
+    """The assignment target name0, ..., name(m-1), of an m-coefficient list."""
+    return "".join(f"{name}{i}, " for i in range(m))
+
+
+def _terms(sign, a, b, kind, k, m):
+    """The products of the coefficient of w^k (k <= 2m-2, before folding)
+    of sign*a*b, as source: the schoolbook sum for ``kind`` "dense";
+    a0 * b_k for "left", exact when a lies in Z_p; a0 * b_k + b0 * a_k for
+    "either", exact when a or b does."""
+    if kind == "dense":
+        return [f"{sign} {a}{i} * {b}{k - i}" for i in range(max(0, k - m + 1), min(k, m - 1) + 1)]
+    if k >= m:
+        return []
+    if kind == "left" or k == 0:
+        return [f"{sign} {a}0 * {b}{k}"]
+    return [f"{sign} {a}0 * {b}{k}", f"{sign} {b}0 * {a}{k}"]
+
+
+def _entry_source(m, folds, parts, reduce):
+    """(lines, coeffs) for the sum of sign*a*b over ``parts`` (sign, a, b,
+    kind) in Z[w]/(modulus): the statements that form each high term h_k
+    once, and the list expression of the m low terms plus h_k * c_ki for
+    the fold table ``folds``, each taken mod ``mod`` when ``reduce``.  A
+    zero c_ki is left out, c_ki = +-1 adds or subtracts h_k, and every
+    other c_ki is a name bound in the function's globals
+    (``FieldDescriptor._compile``), so no constant is written into the
+    source as a literal."""
+    def total(terms):
+        return " ".join(terms).removeprefix("+ ")
+
+    high = range(m, 2 * m - 1) if any(kind == "dense" for *_, kind in parts) else ()
+    lines = [f"h{k} = {total([t for part in parts for t in _terms(*part, k, m)])}" for k in high]
+    coeffs = []
+    for i in range(m):
+        terms = [t for part in parts for t in _terms(*part, i, m)]
+        for k in high:
+            c = folds.get((k, i), 0)
+            if c:
+                terms.append(f"+ h{k}" if c == 1 else f"- h{k}" if c == -1 else f"+ h{k} * c{k}_{i}")
+        coeffs.append(f"({total(terms)}) % mod" if reduce else total(terms))
+    return lines, f"[{', '.join(coeffs)}]"
 
 
 def _residues(p, m, start=0):
@@ -339,18 +390,24 @@ def _find_modulus(p, m):
 def _hensel_root(g, y, f, p, N):
     """The root of g in Z[x]/(f) congruent to y mod p, lifted modulo p^N.
 
-    Newton's iteration y -> y - g(y)/g'(y) doubles the precision each step;
-    g'(y) must be a unit, as it is for a simple root mod p.
+    Newton's iteration y -> y - g(y) z doubles the precision each step,
+    where z = g'(y)^-1 to the digits y has; z starts as the residue's
+    inverse (``_residue_inverse``) and follows y by one step z -> z(2 -
+    g'(y) z) of the same iteration.  g'(y) must be a unit, as it is for a
+    simple root mod p.
     """
     gprime = [i * g[i] for i in range(1, len(g))]
+    z = list(_residue_inverse(tuple(_poly_eval_poly(gprime, y, f, p)), tuple(f), p))
     prec = 1
     while prec < N:
         prec = min(2 * prec, N)
         mod = p ** prec
-        gy = _poly_eval_poly(g, y, f, mod)
-        inv = _poly_inverse(_poly_eval_poly(gprime, y, f, mod), f, p, prec)
-        corr = _poly_mulmod(gy, inv, f, mod)
+        corr = _poly_mulmod(_poly_eval_poly(g, y, f, mod), z, f, mod)
         y = _poly_trim([(a - b) % mod for a, b in itertools.zip_longest(y, corr, fillvalue=0)])
+        if prec < N:
+            t = [-x % mod for x in _poly_mulmod(_poly_eval_poly(gprime, y, f, mod), z, f, mod)]
+            t[0] += 2
+            z = _poly_mulmod(z, t, f, mod)
     return y
 
 
@@ -460,14 +517,52 @@ def _mul_coeffs(f, a, b):
     return f.product_kernel(a, b)
 
 
+@lru_cache(maxsize=256)
+def _residue_inverse(a, f, p):
+    """a^-1 mod (f, p) as a tuple of m coefficients, for a tuple a of
+    residues mod p and a tuple f, monic and irreducible mod p; by the
+    extended Euclidean algorithm over F_p, in which each remainder r_i
+    keeps s_i * a = r_i mod f until r_i is a nonzero constant.
+    ZeroDivisionError when a = 0.  The 256 kept inverses hold, for
+    example, all 88 units mod 2 of Q_4, Q_8, Q_16 and Q_64 together."""
+    m, r0, r1, s0, s1 = len(f) - 1, list(f), _poly_trim(list(a)), [], [1]
+    while len(r1) > 1:
+        d, inv = len(r1) - 1, pow(r1[-1], -1, p)
+        q = [0] * (len(r0) - d)
+        for k in reversed(range(len(q))):  # r0 <- r0 mod r1, q the quotient
+            q[k] = c = r0[k + d] * inv % p
+            if c:
+                for i, y in enumerate(r1, k):
+                    r0[i] = (r0[i] - c * y) % p
+        s = itertools.zip_longest(s0, _poly_mul(q, s1), fillvalue=0)
+        r0, r1, s0, s1 = r1, _poly_trim(r0[:d]), s1, _poly_trim([(x - y) % p for x, y in s])
+    if not r1:
+        raise ZeroDivisionError("not a unit")
+    inv = pow(r1[0], -1, p)
+    return tuple([x * inv % p for x in s1] + [0] * (m - len(s1)))
+
+
 def _unit_inverse(f, u, rel):
     """u^-1 mod (modulus, p^rel) as m coefficients, for a unit u of
-    Z[w]/(modulus): by ``pow`` for a unit of Z_p, by ``_poly_inverse``
-    otherwise."""
-    if any(u[1:]):
-        inv = _poly_inverse(u, list(f.modulus), f.p, rel)
-        return inv + [0] * (f.m - len(inv))
-    return [pow(u[0], -1, f.p ** rel)] + [0] * (f.m - 1)
+    Z[w]/(modulus): by ``pow`` for a unit of Z_p; otherwise the residue's
+    inverse mod p, lifted by Newton's iteration z <- z(2 - uz), which
+    doubles the precision in two ``product_kernel`` calls.  The result is
+    the unique inverse with coefficients in [0, p^rel); ZeroDivisionError
+    for a non-unit."""
+    p = f.p
+    if not any(u[1:]):
+        if not u[0] % p:
+            raise ZeroDivisionError("not a unit")
+        return [pow(u[0], -1, p ** rel)] + [0] * (f.m - 1)
+    z = list(_residue_inverse(tuple([x % p for x in u]), f.modulus, p))
+    prec, kernel = 1, f.product_kernel
+    while prec < rel:
+        prec = min(2 * prec, rel)
+        mod = p ** prec
+        t = [-x % mod for x in kernel(u, z)]
+        t[0] += 2
+        z = [x % mod for x in kernel(z, t)]
+    return z
 
 
 def _inverse(f, coeffs, shift, N, v):
@@ -1004,7 +1099,7 @@ def smith_form(M: PadicMatrix) -> SmithForm:
     if N < 1:
         raise PrecisionError("matrix has no significant digits")
     S, work = _flat(p, [[(e.coeffs, e.shift) for e in row] for row in M.rows], N)
-    mod = p ** (N + S)
+    mod, unit = p ** (N + S), (1,) + (0,) * (f.m - 1)
     divisors, pivots, inverses, steps = [], [], [], []
     for k in range(min(r, c)):
         found = _pivot(p, work, k)
@@ -1023,10 +1118,10 @@ def smith_form(M: PadicMatrix) -> SmithForm:
         fcts = [_normal(p, _mul_coeffs(f, [x // pv for x in e], uinv), 0, n) if any(e) else nil
                 for e in cleared]
         row_fcts, col_fcts = fcts[:r - k - 1], fcts[r - k - 1:]
+        rest = wk[k + 1:]
         for wi, fct in zip(work[k + 1:], row_fcts):
             if fct[3] is not None:
-                for j in range(k + 1, c):
-                    wi[j] = [(a - b) % mod for a, b in zip(wi[j], _mul_coeffs(f, fct[0], wk[j]))]
+                wi[k + 1:] = f.row_kernel(unit, fct[0], wi[k + 1:], rest, mod)
         steps.append((k, bi, bj, row_fcts, col_fcts))
         divisors.append(v - S)
         pivots.append(PadicElement(f, wk[k], S, N))
@@ -1077,16 +1172,11 @@ def _int_divisors(f, rows, N):
         v = found[0]
         wk = work[k]
         pv = p ** v
-        u = [x // pv for x in wk[k]]
+        u, rest = [x // pv for x in wk[k]], wk[k + 1:]
         for wi in work[k + 1:]:
             e = wi[k]
-            if not any(e):
-                continue
-            # column k is not read again
-            fct = [x // pv for x in e]
-            for j in range(k + 1, c):
-                wi[j] = [(a - b) % mod for a, b in
-                         zip(_mul_coeffs(f, u, wi[j]), _mul_coeffs(f, fct, wk[j]))]
+            if any(e):  # column k is not read again
+                wi[k + 1:] = f.row_kernel(u, [x // pv for x in e], wi[k + 1:], rest, mod)
         divisors.append(v - S)
     divisors += [AtLeast(N)] * (min(r, c) - len(divisors))
     return divisors

@@ -37,7 +37,6 @@ from padicperiods.padic import (
     _is_irreducible_mod_p,
     _is_prime,
     _poly_eval_poly,
-    _poly_inverse,
     _poly_mul,
     _poly_mulmod,
     _poly_rem,
@@ -832,6 +831,37 @@ def _per_term_poly_mulmod(a, b, f, mod):
     return _per_term_poly_rem(_per_term_poly_mul(a, b, mod), f, mod)
 
 
+def _poly_inverse(a, f, p, M):
+    """Reference inverse of a modulo (f, p^M) for monic f, independent of
+    the library's Newton lifting: Gaussian elimination on the matrix whose
+    column j is a*x^j mod f, the first row with an entry prime to p as each
+    pivot, then back substitution.  A unit's matrix is invertible mod p, so
+    each column has such a pivot; ZeroDivisionError for a non-unit."""
+    m, mod = len(f) - 1, p ** M
+    col, cols = [x % mod for x in a] + [0] * (m - len(a)), []
+    for _ in range(m - 1):
+        cols.append(col)
+        col = [(c - col[-1] * fc) % mod for c, fc in zip([0] + col[:-1], f)]  # x * col
+    cols.append(col)
+    rows = [list(row) for row in zip(*cols)]
+    z = [1] + [0] * (m - 1)  # the right-hand side, solved in place
+    for k in range(m):
+        piv = next((i for i in range(k, m) if rows[i][k] % p), None)
+        if piv is None:
+            raise ZeroDivisionError("not a unit")
+        rows[k], rows[piv] = rows[piv], rows[k]
+        z[k], z[piv] = z[piv], z[k]
+        inv = pow(rows[k][k], -1, mod)
+        for i in range(k + 1, m):
+            c = rows[i][k] * inv % mod
+            rows[i] = [(x - c * y) % mod for x, y in zip(rows[i], rows[k])]
+            z[i] = (z[i] - c * z[k]) % mod
+    for k in range(m - 1, -1, -1):
+        z[k] = (z[k] - sum(x * y for x, y in zip(rows[k][k + 1:], z[k + 1:]))) * \
+            pow(rows[k][k], -1, mod) % mod
+    return _trimmed(z)
+
+
 def _e(x):
     """The exact valuation of x, or its precision N if it reads AtLeast(N)."""
     v = x.valuation()
@@ -1221,6 +1251,76 @@ class TestQpScalars:
         assert smith_form(N).divisors == _reference_smith_cut(N)[0] == [3]
         assert not smith_form(N).pivots_invertible
         assert certified_rank(N) == (1, [3])
+
+
+# every (p, m) the generated kernels are checked on
+KERNEL_FIELDS = [(p, m) for p in (2, 3, 5) for m in [*range(1, 9), 16]]
+
+
+def _kernel_list(draw, p, m, bound):
+    """An m-coefficient list in (-bound, bound): zero, in Z_p (no
+    w-part), sparse (one to three nonzero coefficients) or mixed (any
+    coefficient zero or not); a tuple about half the time, as the Smith
+    factors are."""
+    kind = draw(st.sampled_from(["zero", "scalar", "sparse", "mixed"]))
+    coeff = st.integers(-bound + 1, bound - 1)
+    x = [0] * m
+    if kind == "scalar":
+        x[0] = draw(coeff)
+    elif kind == "sparse":
+        for i in draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3)):
+            x[i] = draw(coeff)
+    elif kind == "mixed":
+        x = draw(st.lists(st.one_of(st.just(0), coeff), min_size=m, max_size=m))
+    return tuple(x) if draw(st.booleans()) else x
+
+
+class TestGeneratedKernels:
+    """The row kernel and the Newton-lifted unit inverse, on every field of
+    KERNEL_FIELDS: scalar, sparse and mixed entries with negative and
+    unreduced coefficients."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_row_kernel_matches_mul_coeffs_fold(self, data):
+        # u = 1 is smith_form's row_i - q * row_k; any other u the rank
+        # kernel's u * row_i - q * row_k
+        p, m = data.draw(st.sampled_from(KERNEL_FIELDS))
+        f = make_field_cached(p, m, PREC)
+        mod = p ** data.draw(st.integers(1, 40))
+        draw = lambda: _kernel_list(data.draw, p, m, mod * p)  # noqa: E731
+        u = data.draw(st.sampled_from([(1,) + (0,) * (m - 1), None])) or draw()
+        q = draw()
+        n = data.draw(st.integers(0, 4))
+        X, Y = [draw() for _ in range(n)], [draw() for _ in range(n)]
+        expected = [[(a - b) % mod for a, b in
+                     zip(padic._mul_coeffs(f, u, x), padic._mul_coeffs(f, q, y))]
+                    for x, y in zip(X, Y)]
+        assert f.row_kernel(u, q, X, Y, mod) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_unit_inverse_is_an_inverse(self, data):
+        # checked by the per-term product, as test_poly_inverse_is_an_inverse
+        p, m = data.draw(st.sampled_from(KERNEL_FIELDS))
+        f = make_field_cached(p, m, PREC)
+        rel = data.draw(st.integers(1, 200))
+        mod = p ** rel
+        u = _kernel_list(data.draw, p, m, mod * p)
+        assume(any(x % p for x in u))
+        z = padic._unit_inverse(f, u, rel)
+        assert len(z) == m and all(0 <= x < mod for x in z)
+        assert _per_term_poly_mulmod(list(u), z, list(f.modulus), mod) == [1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_non_unit_raises(self, data):
+        p, m = data.draw(st.sampled_from(KERNEL_FIELDS))
+        f = make_field_cached(p, m, PREC)
+        rel = data.draw(st.integers(1, 200))
+        u = [x * p for x in _kernel_list(data.draw, p, m, p ** rel)]
+        with pytest.raises(ZeroDivisionError):
+            padic._unit_inverse(f, u, rel)
 
 
 @st.composite
