@@ -44,13 +44,14 @@ EXIT_RANK_REJECTED = 3
 EXIT_INDETERMINATE = 4
 EXIT_INTEGRALITY = 5
 
-# formal-group's law costs about D^4: D = 128 takes seconds
+# formal-group's law costs about D^4: D = 128 takes 3-6 s
 FORMAL_MAX_D = 128
-# models costs about n^4, for the n^2 x n^2 matrices it builds and prints (DG(n)'s
-# charpoly takes 12 ms of it at n = 16): n = 16 takes about 0.4 s, n = 24 2.3 s
+# models costs about n^4, for the n^2 x n^2 matrices it builds and prints (the
+# slopes take 8-11 ms of it at n = 16): n = 16 takes about 0.3 s, n = 24 2.3 s
 MODELS_MAX_N = 16
-# correspond: building Q_{p^m} takes 0.6 s at m = 64 and 13 s at m = 128; the
-# pipeline takes 0.7 s at n = m = 16 and 7.6 s at n = m = 32 (5 s at n = 16, m = 64)
+# correspond: building Q_{2^m} takes 0.16 s at m = 64 and 6-7 s at m = 128, 5 s of
+# it the search for the modulus; --n 16 --m 16 takes 0.24 s, --n 16 --m 64 1.3 s
+# and n = 32 took 7.6 s
 CORRESPOND_MAX_M = 64
 CORRESPOND_MAX_N = 16
 # correspond prints integers just below p^N (an entry may carry a digit or so

@@ -113,32 +113,23 @@ def _linear_image(coeffs, table):
     return out
 
 
-def _poly_gcd_fp(a, b, p):
-    a = [x % p for x in a]
-    b = [x % p for x in b]
-    _poly_trim(a), _poly_trim(b)
-    while b:
-        # make b monic
-        inv = pow(b[-1], -1, p)
-        b = [(x * inv) % p for x in b]
-        a, b = b, _poly_rem(a, b, p)
-    return a
-
-
 def _is_irreducible_mod_p(f, p):
+    """Rabin's test for a monic f of degree m over F_p: irreducible when
+    x^(p^m) = x mod f and x^(p^(m/l)) - x is a unit mod (f, p) for every
+    prime l | m."""
     m = len(f) - 1
-    if m < 1:
-        return False
+    if m < 2:  # x is not reduced mod f below degree 2
+        return m == 1
     x = [0, 1]
     xq = _poly_powmod(x, p ** m, f, p)
     if _poly_trim([(xi - yi) % p for xi, yi in itertools.zip_longest(xq, x, fillvalue=0)]):
         return False
     for ell in _prime_factors(m):
         xd = _poly_powmod(x, p ** (m // ell), f, p)
-        g = _poly_gcd_fp(
-            [(xi - yi) % p for xi, yi in itertools.zip_longest(xd, x, fillvalue=0)], f, p
-        )
-        if len(g) - 1 != 0:
+        d = [(xi - yi) % p for xi, yi in itertools.zip_longest(xd, x, fillvalue=0)]
+        try:  # gcd(d, f) = 1 exactly when d is a unit mod (f, p)
+            _residue_inverse(tuple(d), tuple(f), p)
+        except ZeroDivisionError:
             return False
     return True
 
@@ -520,11 +511,12 @@ def _mul_coeffs(f, a, b):
 @lru_cache(maxsize=256)
 def _residue_inverse(a, f, p):
     """a^-1 mod (f, p) as a tuple of m coefficients, for a tuple a of
-    residues mod p and a tuple f, monic and irreducible mod p; by the
-    extended Euclidean algorithm over F_p, in which each remainder r_i
+    residues mod p of degree below m and a monic tuple f of degree m; by
+    the extended Euclidean algorithm over F_p, in which each remainder r_i
     keeps s_i * a = r_i mod f until r_i is a nonzero constant.
-    ZeroDivisionError when a = 0.  The 256 kept inverses hold, for
-    example, all 88 units mod 2 of Q_4, Q_8, Q_16 and Q_64 together."""
+    ZeroDivisionError exactly when gcd(a, f) != 1, as for a = 0 or, with a
+    reducible f, as ``_is_irreducible_mod_p`` asks.  The 256 kept inverses
+    hold, e.g., all 88 units mod 2 of Q_4, Q_8, Q_16 and Q_64 together."""
     m, r0, r1, s0, s1 = len(f) - 1, list(f), _poly_trim(list(a)), [], [1]
     while len(r1) > 1:
         d, inv = len(r1) - 1, pow(r1[-1], -1, p)
@@ -996,35 +988,37 @@ class SmithForm:
         return D
 
 
-def _fused(f, x, a, b, sign):
-    """x + sign*a*b on kernel entries, normalized once, at precision
-    min(N_x, N(a*b)); it raises where a*b raises, so it equals the element
-    fold field by field.  A zero factor only caps x."""
+def _fused(f, x, a, b):
+    """x - a*b on kernel entries, normalized once, at precision min(N_x,
+    N(a*b)); it raises where a*b raises, so it equals the element fold
+    field by field.  A zero factor only caps x."""
     ac, sa, Na, va = a
     bc, sb, Nb, vb = b
     xc, sx, N, _ = x
     Np = _product_precision(Na, va, Nb, vb)
     if va is None or vb is None:
         return x if N <= Np else _normal(f.p, xc, sx, Np)
-    coeffs, s = _sum(f.p, xc, sx, _mul_coeffs(f, ac, bc), sa + sb, sign)
+    coeffs, s = _sum(f.p, xc, sx, _mul_coeffs(f, ac, bc), sa + sb, -1)
     return _normal(f.p, coeffs, s, N if N < Np else Np)
 
 
 def _replay(f, n, steps, cols, inverse, one, zero):
-    """Rows of an n x n transform of ``smith_form``, replayed on the identity
-    by ``_fused`` updates with the recorded factors, in the elimination's
-    order: the row operations of L (row i -= fct * row k) and Rinv (row k
-    += fct * row j), or the transposed column operations of R and Linv (a*b
-    is symmetric there)."""
+    """Rows of an n x n transform of ``smith_form`` at N = one[2], from the
+    identity and the recorded factors in the elimination's order: the row
+    operations of L (row i -= fct * row k, by ``_fused``) and Rinv (row k +=
+    fct * row i), or the transposed column operations of R and Linv.  At
+    step k of Rinv or Linv every row below k is still a unit row, so row k
+    += fct * row i writes fct, capped at N, where row i holds its 1."""
     T = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    N = one[2]
     for k, bi, bj, row_fcts, col_fcts in steps:
         b, fcts = (bj, col_fcts) if cols else (bi, row_fcts)
         T[k], T[b] = T[b], T[k]
         for i, fct in enumerate(fcts, k + 1):
             if inverse:
-                T[k] = [_fused(f, x, fct, y, 1) for x, y in zip(T[k], T[i])]
+                T[k][T[i].index(one)] = fct if fct[2] <= N else _normal(f.p, fct[0], fct[1], N)
             else:
-                T[i] = [_fused(f, x, fct, y, -1) for x, y in zip(T[i], T[k])]
+                T[i] = [_fused(f, x, fct, y) for x, y in zip(T[i], T[k])]
     elements = {}  # one per entry object: T keeps every entry alive, so ids stay distinct
     for row in T:
         for e in row:
@@ -1223,8 +1217,7 @@ def _zp_rows(M: PadicMatrix):
     When every entry lies in Z_p (shift 0, no w-part; an entry zero at its
     precision counts as its c_0 = 0, from its stored valuation), (A, N):
     the integer rows of c_0's and N = M.precision, the least entry
-    precision.  Otherwise (None, w): w is True when some entry has a
-    w-part, and False when every entry lies in Q_p and one has a shift.
+    precision.  Otherwise None.
     """
     wide, rows = M.field.m > 1, M.rows
     N = rows[0][0].abs_precision if rows and rows[0] else M.precision
@@ -1233,8 +1226,7 @@ def _zp_rows(M: PadicMatrix):
         row = []
         for e in r:
             if e._v is not None and (e.shift or wide and any(e.coeffs[1:])):
-                return None, wide and any(
-                    x._v is not None and any(x.coeffs[1:]) for r in rows for x in r)
+                return None
             row.append(e.coeffs[0])
             if e.abs_precision < N:
                 N = e.abs_precision
@@ -1259,11 +1251,11 @@ def charpoly(M: PadicMatrix):
     if M.nrows != M.ncols:
         raise ValueError("not square")
     f = M.field
-    A, N = _zp_rows(M)
-    if A is None:
+    zp = _zp_rows(M)
+    if zp is None:
         N = M.precision
         return _berkowitz(M.rows, f.zero(N), f.one(N))
-    p, pad = f.p, (0,) * (f.m - 1)
+    (A, N), p, pad = zp, f.p, (0,) * (f.m - 1)
     return [PadicElement(f, (c,) + pad, 0, N, _valuation(p, (c,)))
             for c in _hessenberg_charpoly(A, p, N)]
 

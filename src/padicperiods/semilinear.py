@@ -85,12 +85,13 @@ def newton_slopes(iso: Isocrystal):
     nonzero c, AtLeast(N) for 0.
     """
     A = iso.frob_matrix
-    ints, N = _zp_rows(A)
-    if ints is None:
-        w_part = N  # off Z_p, the second value says whether sigma moves A
-        m, B = (iso.field.m, linearize(iso)) if w_part else (1, A)
+    zp = _zp_rows(A)
+    if zp is None:
+        # sigma moves A when some entry has a w-part (a zero stores none)
+        moved = any(any(e.coeffs[1:]) for row in A.rows for e in row)
+        m, B = (iso.field.m, linearize(iso)) if moved else (1, A)
         return _hull_slopes([c.valuation() for c in charpoly(B)], m)
-    p = A.field.p
+    (ints, N), p = zp, A.field.p
     return _hull_slopes([_valuation(p, (c,)) if c else AtLeast(N)
                          for c in _hessenberg_charpoly(ints, p, N)], 1)
 

@@ -2012,6 +2012,40 @@ class TestFindModulus:
             assert _code(_find_modulus(p, m)[:-1], p) < start + 4 * m, m
 
 
+def _divides(g, f, p):
+    """g | f over F_p for a monic g, by long division (low degree first)."""
+    r = list(f)
+    for k in reversed(range(len(f) - len(g) + 1)):
+        c = r[k + len(g) - 1] % p
+        for i, y in enumerate(g, k):
+            r[i] -= c * y
+    return not any(x % p for x in r)
+
+
+def _irreducible_by_division(f, p):
+    """A monic f of degree m >= 1 is irreducible over F_p when no monic g of
+    degree 1..m/2 divides it."""
+    m = len(f) - 1
+    return m >= 1 and not any(_divides(list(c) + [1], f, p) for d in range(1, m // 2 + 1)
+                              for c in itertools.product(range(p), repeat=d))
+
+
+class TestIrreducibility:
+    def test_matches_trial_division_up_to_degree_4(self):
+        for p in (2, 3):
+            for m in range(5):
+                for c in itertools.product(range(p), repeat=m):
+                    f = list(c) + [1]
+                    assert _is_irreducible_mod_p(f, p) == _irreducible_by_division(f, p), (f, p)
+
+    def test_a_product_that_passes_the_frobenius_test(self):
+        # x^4 + x = x (x + 1) (x^2 + x + 1) over F_2: x^16 = x mod f, and only
+        # gcd(x^4 - x, f) = f tells it apart
+        f = [0, 1, 0, 0, 1]
+        assert padic._poly_powmod([0, 1], 2 ** 4, f, 2) == [0, 1]
+        assert not _irreducible_by_division(f, 2) and not _is_irreducible_mod_p(f, 2)
+
+
 def _mixed_precision_transforms():
     """Over Q_2, at entry precisions 8 to 17: cut to 8, its divisors are
     [0, 1, AtLeast(8)].  Transforms eliminated at the entries' own

@@ -3,11 +3,12 @@ membership against its construction through elements, and lift soundness:
 what is certified at precision N must survive a lift of the inputs to
 precision 2N with arbitrary extra digits."""
 
+import itertools
 import random
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from padicperiods import padic, periods
 from padicperiods.padic import (
@@ -221,6 +222,26 @@ def _check_lift_sound(M, seed, divisors_of=lambda A: certified_rank(A)[1]):
             assert (d2.n if isinstance(d2, AtLeast) else d2) >= N
 
 
+@st.composite
+def corank_one_matrices(draw):
+    """n x n over Q_{p^m}, p in {2, 3, 5}, m <= 3, n in {2, 3}, with every
+    entry cut to one precision N and certified rank n - 1: n - 1 rows of
+    _qp_entry's, some with a w-part, and a last row that is a combination
+    of them with integral coefficients in Q_{p^m}."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    f = make_field_cached(p, draw(st.integers(1, 3)), FIELD_PREC)
+    n, N = draw(st.integers(2, 3)), draw(st.integers(2, 8))
+    rows = [[_qp_entry(draw, f, N, N, draw(st.booleans())) for _ in range(n)]
+            for _ in range(n - 1)]
+    cs = [f.from_coeffs([draw(st.integers(0, p ** N)) for _ in range(f.m)], 2 * N) for _ in rows]
+    rows.append([sum((c * row[j] for c, row in zip(cs, rows)), f.zero(2 * N)) for j in range(n)])
+    N = min(e.abs_precision for row in rows for e in row)
+    assume(N >= 1)
+    M = PadicMatrix(f, [[f.from_coeffs(e.coeffs, N, e.shift) for e in row] for row in rows])
+    assume(certified_rank(M)[0] == n - 1)
+    return M
+
+
 class TestLiftSoundness:
     """ROADMAP 4a: lift each entry to 2N with random extra digits and rank
     again; exact divisors and the rank certified at N must not move, and an
@@ -248,6 +269,18 @@ class TestLiftSoundness:
     def test_smith_form_divisors(self, M, seed):
         """ROADMAP 2(c): smith_form's divisors, at one precision or mixed."""
         _check_lift_sound(M, seed, lambda A: smith_form(A).divisors)
+
+    @settings(max_examples=400, deadline=None)
+    @given(corank_one_matrices(), st.integers(0, 2 ** 32))
+    def test_smith_transforms(self, M, seed):
+        """ROADMAP 2(c): each entry of L, Linv, R and Rinv agrees with the
+        lift's to all of its own digits, which the lift's entry has too."""
+        sf, lifted = smith_form(M), smith_form(_lift_matrix(M, seed))
+        for name in ("L", "Linv", "R", "Rinv"):
+            for x, y in zip(itertools.chain(*getattr(sf, name).rows),
+                            itertools.chain(*getattr(lifted, name).rows)):
+                assert y.abs_precision >= x.abs_precision, name
+                assert (x - y).is_zero_at_precision(), name
 
     @settings(max_examples=300, deadline=None)
     @given(normals(), st.integers(0, 2 ** 32))
